@@ -8,12 +8,16 @@ All set dynamics then reduce to modular arithmetic on prefix integers.
 
 A clopen set is stored as a packed bitmask over the ``2**d`` prefixes at
 its minimal representing depth, so boolean operations, popcounts and
-translations are word-parallel on Python's big integers.
+translations are whole-integer operations on Python's big integers.
+Anything that reads or writes the mask one prefix at a time goes through
+:func:`unpack` and :func:`pack`, which convert between the mask and a
+``bytes`` of 0/1 flags indexed by prefix in time linear in ``2**d``.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import compress
 
 from .dyadic import Dyadic
 from .errors import DepthCapError
@@ -39,6 +43,29 @@ def check_depth(depth: int) -> None:
     cap = depth_cap()
     if depth > cap:
         raise DepthCapError(f"depth {depth} exceeds cap {cap}")
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def unpack(bits: int, size: int) -> bytes:
+    """The low ``size`` bits of ``bits`` as 0/1 flags, flag ``s`` for bit ``s``.
+
+    Base-2 formatting is linear in ``size`` and exempt from the int/str
+    digit limit.  A mask with bits at or above ``size`` is rejected.
+    """
+    if bits < 0 or bits >> size:
+        raise ValueError(f"bitmask does not fit in {size} bits")
+    return format(bits, "b").zfill(size).encode()[::-1].translate(_TO_FLAGS)
+
+
+def pack(flags) -> int:
+    """Inverse of :func:`unpack`: bit ``s`` is set when ``flags[s]`` is 1.
+
+    ``flags`` is any sequence or iterable of 0/1 values, ``bool`` included.
+    """
+    return int(bytes(flags).translate(_TO_DIGITS)[::-1], 2)
 
 
 class ClopenSet:
@@ -71,12 +98,12 @@ class ClopenSet:
         """Union of the depth-``depth`` cylinders with the given prefixes."""
         check_depth(depth)
         size = 1 << depth
-        bits = 0
+        flags = bytearray(size)
         for s in prefixes:
             if not 0 <= s < size:
                 raise ValueError(f"prefix {s} out of range at depth {depth}")
-            bits |= 1 << s
-        return cls(depth, bits)
+            flags[s] = 1
+        return cls(depth, pack(flags))
 
     @classmethod
     def empty(cls) -> "ClopenSet":
@@ -106,13 +133,8 @@ class ClopenSet:
 
     def prefixes(self) -> tuple[int, ...]:
         """Member prefixes at the canonical depth, ascending."""
-        bits = self.bits
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        size = 1 << self.depth
+        return tuple(compress(range(size), unpack(self.bits, size)))
 
     def bits_at_depth(self, depth: int) -> int:
         """Membership bitmask refined to ``depth >= self.depth``.
@@ -131,13 +153,8 @@ class ClopenSet:
         return bits
 
     def prefixes_at_depth(self, depth: int) -> tuple[int, ...]:
-        bits = self.bits_at_depth(depth)
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        size = 1 << depth
+        return tuple(compress(range(size), unpack(self.bits_at_depth(depth), size)))
 
     # -- boolean algebra ---------------------------------------------------
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
 
-from .clopen import ClopenSet, check_depth
+from .clopen import ClopenSet, check_depth, pack, unpack
 from .dyadic import Dyadic
 from .errors import NotBijectiveError
 
@@ -154,23 +155,17 @@ class FullGroupElement:
         Aperiodicity of the odometer means a nonzero step moves every point
         of its cylinder.
         """
-        bits = 0
-        for s, n in enumerate(self.cocycle):
-            if n:
-                bits |= 1 << s
-        return ClopenSet(self.depth, bits)
+        return ClopenSet(self.depth, pack(map(bool, self.cocycle)))
 
     def image_of(self, subset: ClopenSet) -> ClopenSet:
         """Image of a clopen set under the element."""
         depth = max(self.depth, subset.depth)
-        pi = self.permutation_at_depth(depth)
-        bits = subset.bits_at_depth(depth)
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << pi[low.bit_length() - 1]
-            bits ^= low
-        return ClopenSet(depth, out)
+        size = 1 << depth
+        steps = self.cocycle_at_depth(depth)
+        image = bytearray(size)
+        for s in compress(range(size), unpack(subset.bits_at_depth(depth), size)):
+            image[(s + steps[s]) % size] = 1
+        return ClopenSet(depth, pack(image))
 
     def orbit_decomposition(self) -> "OrbitDecomposition":
         """Cycle structure of the prefix permutation, with displacements."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .clopen import ClopenSet
+from .clopen import ClopenSet, pack
 from .element import (
     PERIODIC,
     TRIVIAL,
@@ -144,7 +144,7 @@ def positivize(u: FullGroupElement) -> Positivized:
 
     size = 1 << u.depth
     steps = u.cocycle
-    bits = 0
+    in_domain = bytearray(size)
     for cycle in u.orbit_decomposition().cycles:
         if cycle.kind == TRIVIAL:
             continue
@@ -161,8 +161,8 @@ def positivize(u: FullGroupElement) -> Positivized:
                 if total <= 0:
                     break
             else:
-                bits |= 1 << cycle.prefixes[offset]
-    domain = ClopenSet(u.depth, bits)
+                in_domain[cycle.prefixes[offset]] = 1
+    domain = ClopenSet(u.depth, pack(in_domain))
     straightened = induce(u, domain).element
     return Positivized(
         domain,

@@ -9,8 +9,9 @@ prefix permutation, so return times and the induced step table are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .clopen import ClopenSet, check_depth
+from .clopen import ClopenSet, check_depth, unpack
 from .dyadic import Dyadic
 from .element import FullGroupElement
 from .errors import EmptySetError, OverlapError, SearchDepthError
@@ -44,39 +45,30 @@ def induce(u: FullGroupElement, subset: ClopenSet) -> InducedResult:
     depth = max(u.depth, subset.depth)
     size = 1 << depth
     steps = u.cocycle_at_depth(depth)
-    pi = u.permutation_at_depth(depth)
-    member = subset.bits_at_depth(depth)
+    member = unpack(subset.bits_at_depth(depth), size)
 
     table = [0] * size
     return_times: dict[int, int] = {}
-    for start in range(size):
-        if not (member >> start) & 1:
-            continue
+    for start in compress(range(size), member):
         total = steps[start]
-        s = pi[start]
+        s = (start + total) % size
         hops = 1
-        while not (member >> s) & 1:
-            total += steps[s]
-            s = pi[s]
+        while not member[s]:
+            n = steps[s]
+            total += n
+            s = (s + n) % size
             hops += 1
         table[start] = total
         return_times[start] = hops
 
-    meets = True
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        s = start
-        touched = False
-        moved = False
-        while not seen[s]:
-            seen[s] = True
-            touched = touched or (member >> s) & 1
-            moved = moved or steps[s] != 0
-            s = pi[s]
-        if moved and not touched:
-            meets = False
+    # The excursions from the members cover each orbit that meets the set
+    # exactly once, so the points they miss make up the orbits it misses.
+    # A zero step fixes its prefix, so every zero-step point outside the
+    # set is missed, and the missed orbits are all unmoved exactly when
+    # there are no other missed points.
+    missed = size - sum(return_times.values())
+    idle = steps.count(0) - list(compress(steps, member)).count(0)
+    meets = missed == idle
 
     return InducedResult(FullGroupElement(depth, table), depth, return_times, meets)
 
@@ -110,24 +102,6 @@ def transposition(subset: ClopenSet) -> FullGroupElement:
     return FullGroupElement(depth, table)
 
 
-def _first_return_cycle(subset: ClopenSet, depth: int) -> list[int]:
-    """Member prefixes of ``subset`` at ``depth`` in first-return order.
-
-    The odometer permutes depth-``depth`` prefixes as one full cycle, so
-    its first-return map to any nonempty set cycles through the members.
-    """
-    size = 1 << depth
-    member = subset.bits_at_depth(depth)
-    start = (member & -member).bit_length() - 1
-    order = [start]
-    s = (start + 1) % size
-    while s != start:
-        if (member >> s) & 1:
-            order.append(s)
-        s = (s + 1) % size
-    return order
-
-
 def oddpart(n: int) -> int:
     return n >> ((n & -n).bit_length() - 1)
 
@@ -144,7 +118,8 @@ def ncycle_support_test(
     on the members at depth ``d + e`` as a single cycle of length
     ``count * 2**e``, so a witness exists at extra depth ``e`` exactly when
     ``order`` divides that length; the witness takes every ``order``-th
-    member along the cycle.
+    member along the cycle.  The odometer adds one to the prefix, so that
+    cycle, read from the least member, is the members in ascending order.
 
     The bounded search is cross-checked against the closed-form criterion
     (the odd part of ``order`` divides the member count): the two can only
@@ -165,9 +140,8 @@ def ncycle_support_test(
         check_depth(depth)
         if (count << extra) % order:
             continue
-        cycle = _first_return_cycle(subset, depth)
-        witness = ClopenSet.from_prefixes(depth, cycle[::order])
-        return True, witness
+        members = subset.prefixes_at_depth(depth)
+        return True, ClopenSet.from_prefixes(depth, members[::order])
 
     if count % oddpart(order) == 0:
         needed = (order & -order).bit_length() - (count & -count).bit_length()

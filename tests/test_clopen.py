@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from odofull import ClopenSet, DepthCapError, Dyadic, boolean_op
-from odofull.clopen import DEPTH_CAP_ENV
+from odofull import (
+    ClopenSet,
+    DepthCapError,
+    Dyadic,
+    boolean_op,
+    induce,
+    ncycle_support_test,
+    random_element,
+)
+from odofull.clopen import DEPTH_CAP_ENV, pack, unpack
+from odofull.induced import oddpart
 
 
 def setify(a: ClopenSet, depth: int) -> set:
@@ -138,3 +147,160 @@ def test_depth_cap_is_hard_error(monkeypatch):
 def test_depth_cap_env_override_allows_more(monkeypatch):
     monkeypatch.setenv(DEPTH_CAP_ENV, "26")
     assert ClopenSet.from_prefixes(25, {0}).depth == 25
+
+
+# -- the pack/unpack helpers against a per-bit reference ---------------------
+
+
+def naive_members(bits: int, size: int) -> tuple:
+    """Reference model: the set bits of ``bits`` below ``size``, one by one."""
+    return tuple(s for s in range(size) if (bits >> s) & 1)
+
+
+def naive_refine(a: ClopenSet, depth: int) -> int:
+    """Reference model of ``bits_at_depth``: prefix ``s`` restricts to ``s mod 2**d``."""
+    bits = 0
+    for s in range(1 << depth):
+        if (a.bits >> (s % (1 << a.depth))) & 1:
+            bits |= 1 << s
+    return bits
+
+
+def test_unpack_pack_round_trip():
+    rng = random.Random(31)
+    for depth in range(13):
+        size = 1 << depth
+        for bits in (0, (1 << size) - 1, rng.getrandbits(size), rng.getrandbits(size)):
+            flags = unpack(bits, size)
+            assert len(flags) == size
+            assert tuple(s for s, f in enumerate(flags) if f) == naive_members(bits, size)
+            assert pack(flags) == bits
+
+
+def test_unpack_pack_edges():
+    assert unpack(0, 1) == b"\x00"
+    assert unpack(1, 1) == b"\x01"
+    assert pack(b"\x00") == 0
+    assert pack(b"\x01") == 1
+    assert unpack(0, 8) == bytes(8)
+    assert unpack(255, 8) == b"\x01" * 8
+    assert unpack(0b110, 4) == b"\x00\x01\x01\x00"
+    assert pack([True, False, True]) == 0b101
+    assert pack(bytearray(5)) == 0
+
+
+@pytest.mark.parametrize("bits, size", [(2, 1), (1 << 8, 8), (0b1_0000_0001, 8), (-1, 8)])
+def test_unpack_rejects_mask_outside_size(bits, size):
+    with pytest.raises(ValueError):
+        unpack(bits, size)
+
+
+def test_prefixes_match_per_bit_walk():
+    rng = random.Random(37)
+    for _ in range(60):
+        a = random_set(rng, rng.randint(0, 10))
+        assert a.prefixes() == naive_members(a.bits, 1 << a.depth)
+        depth = min(a.depth + rng.randint(0, 2), 10)
+        assert a.bits_at_depth(depth) == naive_refine(a, depth)
+        assert a.prefixes_at_depth(depth) == naive_members(naive_refine(a, depth), 1 << depth)
+
+
+def test_support_and_image_match_per_bit_walk():
+    rng = random.Random(41)
+    for _ in range(40):
+        u = random_element(rng.randint(0, 10), 2, rng=rng)
+        bits = 0
+        for s, n in enumerate(u.cocycle):
+            if n:
+                bits |= 1 << s
+        assert u.support() == ClopenSet(u.depth, bits)
+
+        a = random_set(rng, rng.randint(0, 10))
+        depth = max(u.depth, a.depth)
+        size = 1 << depth
+        steps = u.cocycle_at_depth(depth)
+        image = 0
+        for s in naive_members(naive_refine(a, depth), size):
+            image |= 1 << ((s + steps[s]) % size)
+        assert u.image_of(a) == ClopenSet(depth, image)
+
+
+def naive_induce(u, a):
+    """Per-bit first-return walk: (table, return times, meets every orbit)."""
+    depth = max(u.depth, a.depth)
+    size = 1 << depth
+    steps = u.cocycle_at_depth(depth)
+    member = naive_refine(a, depth)
+    table = [0] * size
+    times = {}
+    for start in naive_members(member, size):
+        s = (start + steps[start]) % size
+        total, hops = steps[start], 1
+        while not (member >> s) & 1:
+            total += steps[s]
+            s = (s + steps[s]) % size
+            hops += 1
+        table[start] = total
+        times[start] = hops
+    meets = True
+    seen = set()
+    for start in range(size):
+        orbit = []
+        s = start
+        while s not in seen:
+            seen.add(s)
+            orbit.append(s)
+            s = (s + steps[s]) % size
+        moved = any(steps[s] for s in orbit)
+        if moved and not any((member >> s) & 1 for s in orbit):
+            meets = False
+    return table, times, meets
+
+
+def test_induce_matches_per_bit_walk():
+    rng = random.Random(43)
+    outcomes = set()
+    for case in range(40):
+        u = random_element(rng.randint(0, 8), rng.randint(0, 2), rng=rng)
+        if case % 2:
+            a = ClopenSet.from_prefixes(10, {rng.randrange(1 << 10)})
+        else:
+            a = random_set(rng, rng.randint(0, 8))
+            if a.is_empty:
+                continue
+        table, times, meets = naive_induce(u, a)
+        result = induce(u, a)
+        depth = max(u.depth, a.depth)
+        assert result.element.cocycle_at_depth(depth) == tuple(table)
+        assert result.return_times == times
+        assert result.meets_every_nontrivial_orbit == meets
+        outcomes.add(meets)
+    assert outcomes == {True, False}
+
+
+def test_ncycle_witness_matches_per_bit_return_cycle():
+    rng = random.Random(47)
+    for _ in range(60):
+        a = random_set(rng, rng.randint(0, 6))
+        if a.is_empty:
+            continue
+        order = rng.randint(2, 12)
+        found, witness = ncycle_support_test(a, order, max_extra_depth=4)
+        count = a.cylinder_count()
+        assert found == (count % oddpart(order) == 0)
+        if not found:
+            continue
+        depth = a.depth + next(e for e in range(5) if (count << e) % order == 0)
+        size = 1 << depth
+        member = naive_refine(a, depth)
+        start = naive_members(member, size)[0]
+        cycle = [start]
+        s = (start + 1) % size
+        while s != start:
+            if (member >> s) & 1:
+                cycle.append(s)
+            s = (s + 1) % size
+        bits = 0
+        for s in cycle[::order]:
+            bits |= 1 << s
+        assert witness == ClopenSet(depth, bits)

@@ -1,0 +1,57 @@
+"""Table and set operations scale linearly in the ``2**depth`` entries.
+
+Each operation is timed at depth 12 and at depth 16 as the minimum over
+five repeats of the time per call.  A linear operation costs about 16 times
+more at depth 16; a walk that touches the whole bitmask once per prefix
+costs about 256 times more.  The bound of 32 leaves a factor of two for
+noise and for constant costs that dominate at depth 12.
+"""
+
+import random
+import timeit
+
+import pytest
+
+from odofull import ClopenSet, escape_time, induce, random_element
+
+LOW, HIGH = 12, 16
+REPEATS = 5
+BOUND = 32
+
+
+def random_set(rng, depth):
+    return ClopenSet(depth, rng.getrandbits(1 << depth) | 1)
+
+
+OPERATIONS = {
+    "induce": lambda rng, d: (induce, random_element(d, 2, rng=rng), random_set(rng, d)),
+    "image_of": lambda rng, d: (random_element(d, 2, rng=rng).image_of, random_set(rng, d)),
+    "escape_time": lambda rng, d: (escape_time, random_set(rng, d)),
+    "support": lambda rng, d: (random_element(d, 2, rng=rng).support,),
+    "prefixes": lambda rng, d: (random_set(rng, d).prefixes,),
+    "from_prefixes": lambda rng, d: (
+        ClopenSet.from_prefixes,
+        d,
+        random_set(rng, d).prefixes(),
+    ),
+}
+
+
+def seconds_per_call(make, depth) -> float:
+    """Minimum over the repeats of the time per call at ``depth``.
+
+    Every repeat makes the same number of calls at depth 12 as the number
+    of entries one call at depth 16 has over one at depth 12, so both
+    depths time about the same amount of work.
+    """
+    fn, *args = make(random.Random(depth), depth)
+    number = 1 << (HIGH - depth)
+    times = timeit.Timer(lambda: fn(*args)).repeat(repeat=REPEATS, number=number)
+    return min(times) / number
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_operation_is_linear_in_table_size(name):
+    make = OPERATIONS[name]
+    ratio = seconds_per_call(make, HIGH) / seconds_per_call(make, LOW)
+    assert ratio < BOUND, f"{name}: depth {LOW} -> {HIGH} costs {ratio:.1f}x"
