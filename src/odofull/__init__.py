@@ -41,7 +41,6 @@ from .factor import (
     OdometerPowerFactor,
     PeriodicFactor,
     Positivized,
-    TranspositionFactor,
     decompose_pnp,
     factor_periodic_into_involutions,
     factor_positive,
@@ -100,7 +99,6 @@ __all__ = [
     "Tower",
     "TowerElement",
     "TowerSystem",
-    "TranspositionFactor",
     "boolean_op",
     "commutator",
     "counterexample_element",

@@ -1,21 +1,20 @@
-"""Command-line front end.
+"""Command-line front end: a command table over ``odofull.serialize``.
 
-One subcommand per construction keeps the capability-to-command map legible:
-``verify`` runs the property suites, ``induce``/``decompose``/``factor-*``
-/``normal-form`` expose the constructive operations, ``escape``/
-``escape-family``/``counterexample`` produce the exact report tables, and
-``random`` draws reproducible elements.
+Each subcommand is one row of :func:`build_parser`: a ``run(args)``
+callable and the encoders of its result, a JSON object encoder plus CSV
+and text encoders where the result has those forms (text mode otherwise
+prints the JSON).  ``main`` parses, runs, renders with the encoder that
+``--format`` picks, and writes to stdout or ``--out``.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage or parse errors.  ``ERGO_DEPTH_CAP`` overrides the depth cap.
-Elements are passed inline as JSON or as a path to a JSON file; all
-randomized commands default to the documented seed 0.
+Elements and sets are passed inline as JSON or as a path to a JSON file;
+all randomized commands default to the documented seed 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import serialize
@@ -32,257 +31,15 @@ from .induced import induce, ncycle_support_test
 from .skyscraper import counterexample_report
 from .verify import QUICK, RunReport, SUITES, run_verify
 
-FORMATS = ("json", "csv", "text")
-
-
-def _parse_full_group(source: str) -> FullGroupElement:
+def _full_group(source: str) -> FullGroupElement:
     element = serialize.parse_element(source)
     if not isinstance(element, FullGroupElement):
         raise serialize.ParseError("this command needs a dyadic_odometer element")
     return element
 
 
-def _parse_set(source: str):
-    text = source.strip()
-    if not text.startswith("{"):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise serialize.ParseError(f"bad JSON: {exc}") from None
-    return serialize.clopen_from_obj(obj)
-
-
-# -- report emission -------------------------------------------------------------
-
-
-def _report_obj(report: RunReport) -> dict:
-    return {
-        "suite": report.suite,
-        "cases": report.cases,
-        "failures": report.failures,
-        "wall_time": round(report.wall_time, 3),
-        "exit_status": report.exit_status,
-    }
-
-
-def emit_report(result, fmt: str = "text") -> str:
-    """Deterministic rendering of a result in json, csv or text form.
-
-    Exact rationals are emitted as ``p/2^k`` strings in json and csv; text
-    mode may append decimal approximations marked with an almost-equals
-    sign.
-    """
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}")
-    kind, payload = result
-    if fmt == "json":
-        return json.dumps(_json_payload(kind, payload), indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_payload(kind, payload)
-    return _text_payload(kind, payload)
-
-
-def _json_payload(kind, payload):
-    if kind == "report":
-        return _report_obj(payload)
-    if kind == "dyadic":
-        return {"value": str(payload)}
-    if kind == "element":
-        return serialize.element_to_obj(payload)
-    if kind == "elements":
-        return {name: serialize.element_to_obj(u) for name, u in payload}
-    if kind == "integer":
-        return {"index": payload}
-    if kind == "certificate":
-        return serialize.certificate_to_obj(payload)
-    if kind == "induced":
-        return {
-            "element": serialize.element_to_obj(payload.element),
-            "depth": payload.depth,
-            "return_times": {str(s): r for s, r in sorted(payload.return_times.items())},
-            "return_time_integral": str(payload.return_time_integral()),
-            "meets_every_nontrivial_orbit": payload.meets_every_nontrivial_orbit,
-        }
-    if kind == "ncycle":
-        found, witness = payload
-        return {
-            "found": found,
-            "witness": serialize.clopen_to_obj(witness) if witness else None,
-        }
-    if kind == "escape":
-        return serialize.escape_result_to_obj(payload)
-    if kind == "escape_rows":
-        return serialize.escape_rows_to_obj(payload)
-    if kind == "counterexample":
-        return serialize.counterexample_to_obj(payload)
-    raise ValueError(f"no json form for {kind!r}")
-
-
-def _csv_payload(kind, payload):
-    if kind == "escape_rows":
-        return serialize.escape_rows_to_csv(payload)
-    if kind == "counterexample":
-        return serialize.counterexample_to_csv(payload)
-    if kind == "escape":
-        obj = serialize.escape_result_to_obj(payload)
-        lines = [f"# integral {obj['integral']}", "prefix,escape_time"]
-        if payload.times and not payload.is_infinite:
-            lines += [f"{s},{tau}" for s, tau in sorted(payload.times.items())]
-        return "\n".join(lines) + "\n"
-    if kind == "report":
-        head = "suite,cases,failures,wall_time,exit_status"
-        row = (
-            f"{payload.suite},{payload.cases},{len(payload.failures)},"
-            f"{payload.wall_time:.3f},{payload.exit_status}"
-        )
-        return head + "\n" + row + "\n"
-    if kind == "integer":
-        return f"index\n{payload}\n"
-    if kind == "dyadic":
-        return f"{payload}\n"
-    raise ValueError(f"no csv form for {kind!r}; use json or text")
-
-
-def _text_payload(kind, payload):
-    if kind == "report":
-        lines = [
-            f"suite {payload.suite}: {payload.cases} checks,"
-            f" {len(payload.failures)} failures, {payload.wall_time:.2f}s"
-        ]
-        for failure in payload.failures[:50]:
-            lines.append(f"  FAIL {json.dumps(failure, sort_keys=True)}")
-        if len(payload.failures) > 50:
-            lines.append(f"  ... {len(payload.failures) - 50} more")
-        return "\n".join(lines) + "\n"
-    if kind == "counterexample":
-        lines = [f"mass deficit {payload.mass_deficit}"]
-        for row in payload.rows:
-            lines.append(
-                f"n={row.n}: ambient {serialize.approx(row.ambient_distance)},"
-                f" induced {serialize.approx(row.induced_distance)}"
-            )
-        return "\n".join(lines) + "\n"
-    if kind == "escape_rows":
-        lines = [
-            f"m={row.m} depth={row.depth} measure={serialize.approx(row.measure)}"
-            f" integral={serialize.approx(row.integral)}"
-            for row in payload
-        ]
-        return "\n".join(lines) + "\n"
-    if kind == "escape":
-        return f"integral {serialize.approx(payload.integral)}\n"
-    if kind == "integer":
-        return f"{payload}\n"
-    if kind == "dyadic":
-        return serialize.approx(payload) + "\n"
-    return json.dumps(_json_payload(kind, payload), indent=2) + "\n"
-
-
-# -- handlers ----------------------------------------------------------------------
-
-
-def _cmd_verify(args):
-    report = run_verify(args.suite, args.seed, args.scale)
-    _write(args, emit_report(("report", report), args.format))
-    return report.exit_status
-
-
-def _cmd_index(args):
-    element = _parse_full_group(args.element)
-    _write(args, emit_report(("integer", element.index()), args.format))
-    return 0
-
-
-def _cmd_compose(args):
-    left = _parse_full_group(args.left)
-    right = _parse_full_group(args.right)
-    _write(args, emit_report(("element", left * right), args.format))
-    return 0
-
-
-def _cmd_inverse(args):
-    element = _parse_full_group(args.element)
-    _write(args, emit_report(("element", element.inverse()), args.format))
-    return 0
-
-
-def _cmd_induce(args):
-    element = _parse_full_group(args.element)
-    result = induce(element, _parse_set(args.set))
-    _write(args, emit_report(("induced", result), args.format))
-    return 0
-
-
-def _cmd_decompose(args):
-    parts = decompose_pnp(_parse_full_group(args.element))
-    payload = [
-        ("periodic", parts.periodic),
-        ("almost_positive", parts.almost_positive),
-        ("almost_negative", parts.almost_negative),
-    ]
-    _write(args, emit_report(("elements", payload), args.format))
-    return 0
-
-
-def _cmd_factor_positive(args):
-    cert = factor_positive(_parse_full_group(args.element))
-    _write(args, emit_report(("certificate", cert), args.format))
-    return 0
-
-
-def _cmd_normal_form(args):
-    cert = normal_form(_parse_full_group(args.element))
-    _write(args, emit_report(("certificate", cert), args.format))
-    return 0
-
-
-def _cmd_factor_involutions(args):
-    cert = factor_periodic_into_involutions(_parse_full_group(args.element))
-    _write(args, emit_report(("certificate", cert), args.format))
-    return 0
-
-
-def _cmd_ncycle(args):
-    outcome = ncycle_support_test(_parse_set(args.set), args.n, args.max_extra_depth)
-    _write(args, emit_report(("ncycle", outcome), args.format))
-    return 0
-
-
-def _cmd_escape(args):
-    result = escape_time(_parse_set(args.set))
-    _write(args, emit_report(("escape", result), args.format))
-    return 0
-
-
-def _cmd_escape_family(args):
-    rows = escape_tower_family(args.max_m)
-    _write(args, emit_report(("escape_rows", rows), args.format))
-    return 0
-
-
-def _cmd_counterexample(args):
-    report = counterexample_report(args.max_n)
-    _write(args, emit_report(("counterexample", report), args.format))
-    return 0
-
-
-def _cmd_random(args):
-    element = random_element(args.depth, args.max_shift, seed=args.seed)
-    _write(args, emit_report(("element", element), args.format))
-    return 0
-
-
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-# -- parser -------------------------------------------------------------------------
+def _clopen(source: str):
+    return serialize.clopen_from_obj(serialize.load_json(source))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,91 +48,132 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in full groups of the dyadic odometer.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="text")
+    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="write the report to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run property suites")
+    def command(name, summary, run, to_obj, to_csv=None, to_text=None):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run, encoders=(to_obj, to_csv, to_text))
+        return p
+
+    p = command(
+        "verify", "run property suites",
+        lambda a: run_verify(a.suite, a.seed, a.scale),
+        serialize.report_to_obj, serialize.report_to_csv, serialize.report_to_text,
+    )
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
     p.add_argument("--scale", choices=("quick", "full"), default=QUICK)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("index", parents=[common], help="index of an element")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_index)
+    def on_element(name, summary, fn, *encoders):
+        command(name, summary, lambda a: fn(_full_group(a.element)), *encoders).add_argument("element")
 
-    p = sub.add_parser("compose", parents=[common], help="compose two elements (right one applied first)")
+    on_element(
+        "index", "index of an element", FullGroupElement.index,
+        serialize.index_to_obj, serialize.index_to_csv, serialize.index_to_text,
+    )
+    p = command(
+        "compose", "compose two elements (right one applied first)",
+        lambda a: _full_group(a.left) * _full_group(a.right),
+        serialize.element_to_obj,
+    )
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_compose)
+    on_element("inverse", "inverse of an element", FullGroupElement.inverse, serialize.element_to_obj)
 
-    p = sub.add_parser("inverse", parents=[common], help="inverse of an element")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_inverse)
-
-    p = sub.add_parser("induce", parents=[common], help="first-return map to a clopen set")
+    p = command(
+        "induce", "first-return map to a clopen set",
+        lambda a: induce(_full_group(a.element), _clopen(a.set)),
+        serialize.induced_to_obj,
+    )
     p.add_argument("element")
     p.add_argument("--set", required=True, help='clopen set JSON, e.g. {"depth":1,"prefixes":[0]}')
-    p.set_defaults(handler=_cmd_induce)
 
-    p = sub.add_parser("decompose", parents=[common], help="periodic / almost positive / almost negative parts")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_decompose)
+    on_element(
+        "decompose", "periodic / almost positive / almost negative parts",
+        decompose_pnp, serialize.cycle_parts_to_obj,
+    )
+    on_element(
+        "factor-positive", "positive element as product of return maps",
+        factor_positive, serialize.certificate_to_obj,
+    )
+    on_element(
+        "normal-form", "periodic factors times an odometer power",
+        normal_form, serialize.certificate_to_obj,
+    )
+    on_element(
+        "factor-involutions", "periodic element as product of involutions",
+        factor_periodic_into_involutions, serialize.certificate_to_obj,
+    )
 
-    p = sub.add_parser("factor-positive", parents=[common], help="positive element as product of return maps")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_factor_positive)
-
-    p = sub.add_parser("normal-form", parents=[common], help="periodic factors times an odometer power")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_normal_form)
-
-    p = sub.add_parser("factor-involutions", parents=[common], help="periodic element as product of involutions")
-    p.add_argument("element")
-    p.set_defaults(handler=_cmd_factor_involutions)
-
-    p = sub.add_parser("ncycle", parents=[common], help="search a tiling piece for a cycle support")
+    p = command(
+        "ncycle", "search a tiling piece for a cycle support",
+        lambda a: ncycle_support_test(_clopen(a.set), a.n, a.max_extra_depth),
+        serialize.ncycle_to_obj,
+    )
     p.add_argument("--set", required=True)
     p.add_argument("--n", type=int, required=True, help="cycle order (>= 2)")
     p.add_argument("--max-extra-depth", type=int, default=6)
-    p.set_defaults(handler=_cmd_ncycle)
 
-    p = sub.add_parser("escape", parents=[common], help="escape times of a clopen set")
+    p = command(
+        "escape", "escape times of a clopen set",
+        lambda a: escape_time(_clopen(a.set)),
+        serialize.escape_result_to_obj, serialize.escape_result_to_csv, serialize.escape_result_to_text,
+    )
     p.add_argument("--set", required=True)
-    p.set_defaults(handler=_cmd_escape)
 
-    p = sub.add_parser("escape-family", parents=[common], help="diverging escape-integral tower family")
+    p = command(
+        "escape-family", "diverging escape-integral tower family",
+        lambda a: escape_tower_family(a.max_m),
+        serialize.escape_rows_to_obj, serialize.escape_rows_to_csv, serialize.escape_rows_to_text,
+    )
     p.add_argument("--max-m", type=int, required=True)
-    p.set_defaults(handler=_cmd_escape_family)
 
-    p = sub.add_parser("counterexample", parents=[common], help="crossing-involution distance table")
+    p = command(
+        "counterexample", "crossing-involution distance table",
+        lambda a: counterexample_report(a.max_n),
+        serialize.counterexample_to_obj, serialize.counterexample_to_csv, serialize.counterexample_to_text,
+    )
     p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_counterexample)
 
-    p = sub.add_parser("random", parents=[common], help="reproducible random element")
+    p = command(
+        "random", "reproducible random element",
+        lambda a: random_element(a.depth, a.max_shift, seed=a.seed),
+        serialize.element_to_obj,
+    )
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--max-shift", type=int, default=0, help="wrap bound (default 0)")
     p.add_argument("--seed", type=int, default=0, help="draw seed (default 0)")
-    p.set_defaults(handler=_cmd_random)
 
     return parser
 
 
+def _render(args, result) -> str:
+    to_obj, to_csv, to_text = args.encoders
+    if args.format == "csv":
+        if to_csv is None:
+            raise ValueError(f"no csv form for {args.command!r}; use json or text")
+        return to_csv(result)
+    if args.format == "text" and to_text is not None:
+        return to_text(result)
+    return serialize.json_text(to_obj(result))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except OdofullError as exc:
+        result = args.run(args)
+        text = _render(args, result)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OdofullError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return result.exit_status if isinstance(result, RunReport) else 0
 
 
 if __name__ == "__main__":

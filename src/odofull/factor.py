@@ -18,7 +18,7 @@ from .element import (
     FullGroupElement,
 )
 from .errors import NotAlmostPositiveError, NotPeriodicError, NotPositiveError
-from .induced import induce, transposition
+from .induced import induce
 
 # -- certificate ------------------------------------------------------------
 
@@ -44,17 +44,6 @@ class PeriodicFactor:
 
 
 @dataclass(frozen=True)
-class TranspositionFactor:
-    """Involution swapping ``domain`` with its odometer translate."""
-
-    domain: ClopenSet
-    kind = "transposition"
-
-    def as_element(self) -> FullGroupElement:
-        return transposition(self.domain)
-
-
-@dataclass(frozen=True)
 class OdometerPowerFactor:
     power: int
     kind = "power_of_T"
@@ -63,7 +52,7 @@ class OdometerPowerFactor:
         return FullGroupElement.odometer(self.power)
 
 
-WordFactor = Union[InducedFactor, PeriodicFactor, TranspositionFactor, OdometerPowerFactor]
+WordFactor = Union[InducedFactor, PeriodicFactor, OdometerPowerFactor]
 
 
 @dataclass(frozen=True)

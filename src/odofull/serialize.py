@@ -1,4 +1,9 @@
-"""JSON and CSV encodings for every value the package exchanges.
+"""JSON, CSV and text encodings for every value the package exchanges.
+
+Each result type has one encoder per format: ``*_to_obj`` gives the JSON
+object, ``*_to_csv`` and ``*_to_text`` the CSV and text documents where
+the type has them.  :func:`load_json` reads JSON given inline or as a
+file path, for every parser of command-line input.
 
 Exact rationals travel as ``"p/2^k"`` strings and are never rendered as
 floating point in machine formats.  Cocycle entries ride as JSON numbers
@@ -16,12 +21,13 @@ from .element import FullGroupElement
 from .errors import ParseError
 from .escape import INFINITE
 from .factor import (
+    CycleClassParts,
     FactorizationCertificate,
     InducedFactor,
     OdometerPowerFactor,
     PeriodicFactor,
-    TranspositionFactor,
 )
+from .induced import InducedResult
 from .skyscraper import CounterexampleReport, TowerElement, TowerSystem
 
 ODOMETER_SYSTEM = "dyadic_odometer"
@@ -66,6 +72,8 @@ def clopen_from_obj(obj) -> ClopenSet:
     if not isinstance(obj, dict) or "depth" not in obj or "prefixes" not in obj:
         raise ParseError("clopen set needs 'depth' and 'prefixes'")
     depth = _int_from(obj["depth"])
+    if not isinstance(obj["prefixes"], list):
+        raise ParseError("'prefixes' must be a list")
     prefixes = [_int_from(p) for p in obj["prefixes"]]
     try:
         return ClopenSet.from_prefixes(depth, prefixes)
@@ -149,7 +157,24 @@ def tower_element_from_obj(obj) -> TowerElement:
         raise ParseError(str(exc)) from None
 
 
-# -- element parsing (path or inline JSON) ---------------------------------------
+# -- parsing (path or inline JSON) -------------------------------------------------
+
+
+def load_json(source: str):
+    """Parse ``source`` as inline JSON if it starts with ``{``, else as a file path.
+
+    A missing file or malformed JSON raises :class:`ParseError`.
+    """
+    text = source.strip()
+    if not text.startswith("{"):
+        if not os.path.exists(text):
+            raise ParseError(f"no such file: {text}")
+        with open(text, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from None
 
 
 def parse_element(source: str):
@@ -160,16 +185,7 @@ def parse_element(source: str):
     :class:`ParseError`; a table that fails bijectivity raises
     ``NotBijectiveError`` naming the colliding prefixes.
     """
-    text = source.strip()
-    if not text.startswith("{"):
-        if not os.path.exists(text):
-            raise ParseError(f"no such file: {text}")
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from None
+    obj = load_json(source)
     if not isinstance(obj, dict):
         raise ParseError("element JSON must be an object")
     system = obj.get("system")
@@ -184,7 +200,7 @@ def parse_element(source: str):
 
 
 def factor_to_obj(factor) -> dict:
-    if isinstance(factor, (InducedFactor, TranspositionFactor)):
+    if isinstance(factor, InducedFactor):
         return {"kind": factor.kind, "set": clopen_to_obj(factor.domain)}
     if isinstance(factor, PeriodicFactor):
         return {"kind": factor.kind, "element": element_to_obj(factor.element)}
@@ -201,7 +217,75 @@ def certificate_to_obj(cert: FactorizationCertificate) -> dict:
     }
 
 
-# -- reports ------------------------------------------------------------------------
+# -- command results ----------------------------------------------------------------
+
+
+def json_text(obj) -> str:
+    """The indented JSON document the CLI writes for ``--format json``."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def cycle_parts_to_obj(parts: CycleClassParts) -> dict:
+    return {name: element_to_obj(u) for name, u in parts._asdict().items()}
+
+
+def index_to_obj(index: int) -> dict:
+    return {"index": index}
+
+
+def index_to_csv(index: int) -> str:
+    return f"index\n{index}\n"
+
+
+def index_to_text(index: int) -> str:
+    return f"{index}\n"
+
+
+def induced_to_obj(result: InducedResult) -> dict:
+    return {
+        "element": element_to_obj(result.element),
+        "depth": result.depth,
+        "return_times": {str(s): r for s, r in sorted(result.return_times.items())},
+        "return_time_integral": str(result.return_time_integral()),
+        "meets_every_nontrivial_orbit": result.meets_every_nontrivial_orbit,
+    }
+
+
+def ncycle_to_obj(outcome: tuple[bool, ClopenSet | None]) -> dict:
+    found, witness = outcome
+    return {"found": found, "witness": clopen_to_obj(witness) if witness else None}
+
+
+def report_to_obj(report) -> dict:
+    """JSON form of a ``verify`` run report."""
+    return {
+        "suite": report.suite,
+        "cases": report.cases,
+        "failures": report.failures,
+        "wall_time": round(report.wall_time, 3),
+        "exit_status": report.exit_status,
+    }
+
+
+def report_to_csv(report) -> str:
+    return (
+        "suite,cases,failures,wall_time,exit_status\n"
+        f"{report.suite},{report.cases},{len(report.failures)},"
+        f"{report.wall_time:.3f},{report.exit_status}\n"
+    )
+
+
+def report_to_text(report) -> str:
+    """Summary line, then at most 50 failures as sorted-key JSON."""
+    failures = report.failures
+    lines = [
+        f"suite {report.suite}: {report.cases} checks,"
+        f" {len(failures)} failures, {report.wall_time:.2f}s"
+    ]
+    lines += [f"  FAIL {json.dumps(failure, sort_keys=True)}" for failure in failures[:50]]
+    if len(failures) > 50:
+        lines.append(f"  ... {len(failures) - 50} more")
+    return "\n".join(lines) + "\n"
 
 
 def escape_rows_to_obj(rows) -> list[dict]:
@@ -219,6 +303,14 @@ def escape_rows_to_obj(rows) -> list[dict]:
 def escape_rows_to_csv(rows) -> str:
     lines = ["m,depth,measure,integral"]
     lines += [f"{r.m},{r.depth},{r.measure},{r.integral}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def escape_rows_to_text(rows) -> str:
+    lines = [
+        f"m={r.m} depth={r.depth} measure={approx(r.measure)} integral={approx(r.integral)}"
+        for r in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -240,6 +332,15 @@ def counterexample_to_csv(report: CounterexampleReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def counterexample_to_text(report: CounterexampleReport) -> str:
+    lines = [f"mass deficit {report.mass_deficit}"]
+    lines += [
+        f"n={r.n}: ambient {approx(r.ambient_distance)}, induced {approx(r.induced_distance)}"
+        for r in report.rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def escape_result_to_obj(result) -> dict:
     if result.is_infinite:
         return {"integral": "infinite", "times": None}
@@ -247,6 +348,18 @@ def escape_result_to_obj(result) -> dict:
         "integral": str(result.integral),
         "times": {str(s): tau for s, tau in sorted(result.times.items())},
     }
+
+
+def escape_result_to_csv(result) -> str:
+    if result.is_infinite:
+        return "# integral infinite\nprefix,escape_time\n"
+    lines = [f"# integral {result.integral}", "prefix,escape_time"]
+    lines += [f"{s},{tau}" for s, tau in sorted(result.times.items())]
+    return "\n".join(lines) + "\n"
+
+
+def escape_result_to_text(result) -> str:
+    return f"integral {approx(result.integral)}\n"
 
 
 def approx(value) -> str:

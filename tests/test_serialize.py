@@ -42,6 +42,12 @@ def test_clopen_round_trip():
         serialize.clopen_from_obj({"depth": 2, "prefixes": [9]})
 
 
+@pytest.mark.parametrize("prefixes", [5, None, "1"])
+def test_clopen_prefixes_must_be_a_list(prefixes):
+    with pytest.raises(ParseError, match="'prefixes' must be a list"):
+        serialize.clopen_from_obj({"depth": 1, "prefixes": prefixes})
+
+
 def test_element_json_examples():
     odometer = parse_element('{"system":"dyadic_odometer","depth":0,"cocycle":[1]}')
     assert odometer == FullGroupElement.odometer()

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from odofull import Dyadic, run_verify
-from odofull.cli import emit_report, main
+from odofull import run_verify
+from odofull.cli import main
 from odofull.verify import RunReport
 
 ODOMETER = '{"system":"dyadic_odometer","depth":0,"cocycle":[1]}'
@@ -120,6 +120,8 @@ def test_cli_parse_failure_exits_two(capsys):
     assert "prefixes 1 and 2" in capsys.readouterr().err
     assert main(["index", "{broken"]) == 2
     assert main(["escape", "--set", '{"depth":0,"prefixes":[]}']) == 2
+    assert main(["escape", "--set", '{"depth":1,"prefixes":5}']) == 2
+    assert "'prefixes' must be a list" in capsys.readouterr().err
 
 
 def test_cli_out_file(tmp_path, capsys):
@@ -133,20 +135,22 @@ def test_cli_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["index", RETURN_HALF, "--format", "yaml"])
+    assert excinfo.value.code == 2
+
+
+def test_cli_missing_csv_form_writes_no_out_file(tmp_path, capsys):
+    target = tmp_path / "product.csv"
+    assert main(["compose", SWAP, SWAP, "--format", "csv", "--out", str(target)]) == 2
+    assert "no csv form for 'compose'" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_cli_depth_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("ERGO_DEPTH_CAP", "3")
     assert main(["random", "--depth", "4"]) == 2
     assert "cap" in capsys.readouterr().err
-
-
-def test_emit_report_dyadic_forms():
-    assert emit_report(("dyadic", Dyadic(1, 2)), "csv") == "1/2^2\n"
-    assert emit_report(("dyadic", Dyadic(1, 2)), "json") == '{\n  "value": "1/2^2"\n}\n'
-    assert "≈" in emit_report(("dyadic", Dyadic(1, 2)), "text")
-    with pytest.raises(ValueError):
-        emit_report(("dyadic", Dyadic(1, 2)), "yaml")
 
 
 def test_report_exit_status_tracks_failures():
