@@ -7,7 +7,7 @@ maps, decompositions, certified factorizations, escape times -- is
 carried out in exact integer and dyadic-rational arithmetic.
 """
 
-from .clopen import ClopenSet, boolean_op, depth_cap
+from .clopen import ClopenSet, depth_cap
 from .dyadic import Dyadic
 from .element import (
     FullGroupElement,
@@ -99,7 +99,6 @@ __all__ = [
     "Tower",
     "TowerElement",
     "TowerSystem",
-    "boolean_op",
     "commutator",
     "counterexample_element",
     "counterexample_report",

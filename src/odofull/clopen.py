@@ -206,17 +206,3 @@ class ClopenSet:
         bits = ((self.bits << k) | (self.bits >> (size - k))) & full
         return ClopenSet(self.depth, bits)
 
-
-def boolean_op(op: str, a: ClopenSet, b: ClopenSet | None = None) -> ClopenSet:
-    """Dispatch a boolean operation by name."""
-    if op == "complement":
-        return ~a
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    if op == "union":
-        return a | b
-    if op == "intersection":
-        return a & b
-    if op == "difference":
-        return a - b
-    raise ValueError(f"unknown boolean operation {op!r}")

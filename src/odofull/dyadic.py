@@ -6,6 +6,20 @@ so a dedicated exact type lets all computations avoid floats entirely.
 
 from __future__ import annotations
 
+import operator
+
+
+def _comparison(op):
+    """An order method: ``op`` on the aligned numerators."""
+
+    def compare(self, other):
+        aligned = self._aligned(other)
+        if aligned is None:
+            return NotImplemented
+        return op(aligned[0], aligned[1])
+
+    return compare
+
 
 class Dyadic:
     """An exact dyadic rational ``num / 2**exp2``.
@@ -41,14 +55,6 @@ class Dyadic:
 
     # -- conversions ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(value) -> "Dyadic":
-        if isinstance(value, Dyadic):
-            return value
-        if isinstance(value, int):
-            return Dyadic(value)
-        return NotImplemented
-
     def as_integer_ratio(self) -> tuple[int, int]:
         return self.num, 1 << self.exp2
 
@@ -77,41 +83,41 @@ class Dyadic:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _aligned(self, other: "Dyadic") -> tuple[int, int, int]:
-        exp2 = max(self.exp2, other.exp2)
-        return (
-            self.num << (exp2 - self.exp2),
-            other.num << (exp2 - other.exp2),
-            exp2,
-        )
+    def _aligned(self, other) -> tuple[int, int, int] | None:
+        """``(a, b, exp2)``, both operands over ``2**exp2``; ``None`` for other types."""
+        if isinstance(other, Dyadic):
+            exp2 = max(self.exp2, other.exp2)
+            return self.num << (exp2 - self.exp2), other.num << (exp2 - other.exp2), exp2
+        if isinstance(other, int):
+            return self.num, other << self.exp2, self.exp2
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        aligned = self._aligned(other)
+        if aligned is None:
             return NotImplemented
-        a, b, exp2 = self._aligned(other)
-        return Dyadic(a + b, exp2)
+        return Dyadic(aligned[0] + aligned[1], aligned[2])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        aligned = self._aligned(other)
+        if aligned is None:
             return NotImplemented
-        a, b, exp2 = self._aligned(other)
-        return Dyadic(a - b, exp2)
+        return Dyadic(aligned[0] - aligned[1], aligned[2])
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        aligned = self._aligned(other)
+        if aligned is None:
             return NotImplemented
-        return other - self
+        return Dyadic(aligned[1] - aligned[0], aligned[2])
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dyadic(self.num * other.num, self.exp2 + other.exp2)
+        if isinstance(other, Dyadic):
+            return Dyadic(self.num * other.num, self.exp2 + other.exp2)
+        if isinstance(other, int):
+            return Dyadic(self.num * other, self.exp2)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -124,42 +130,18 @@ class Dyadic:
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.exp2 == other.exp2
+        # the form is canonical, so equal values have equal fields
+        if isinstance(other, Dyadic):
+            return self.num == other.num and self.exp2 == other.exp2
+        if isinstance(other, int):
+            return self.exp2 == 0 and self.num == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.exp2))
+        # integers hash like the equal int
+        return hash(self.num) if self.exp2 == 0 else hash((self.num, self.exp2))
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a < b
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a > b
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a >= b
-
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)

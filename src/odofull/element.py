@@ -249,9 +249,6 @@ class OrbitDecomposition:
     depth: int
     cycles: tuple[OrbitCycle, ...]
 
-    def of_kind(self, kind: str) -> tuple[OrbitCycle, ...]:
-        return tuple(c for c in self.cycles if c.kind == kind)
-
 
 def commutator(u: FullGroupElement, v: FullGroupElement) -> FullGroupElement:
     return u * v * u.inverse() * v.inverse()

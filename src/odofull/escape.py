@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clopen import ClopenSet, check_depth, depth_cap
+from .clopen import ClopenSet, depth_cap
 from .dyadic import Dyadic
 from .errors import DepthCapError, EmptySetError
 
@@ -114,7 +114,6 @@ def escape_tower_family(m_max: int) -> tuple[EscapeRow, ...]:
     rows = []
     for m in range(1, m_max + 1):
         depth = 3 * m
-        check_depth(depth)
         levels = ClopenSet.from_prefixes(depth, range(4**m))
         rows.append(
             EscapeRow(m, depth, levels.measure(), escape_time(levels).integral)

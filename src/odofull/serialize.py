@@ -48,10 +48,6 @@ def _int_from(obj) -> int:
         raise ParseError(f"bad integer literal {obj!r}") from None
 
 
-def dyadic_str(value: Dyadic) -> str:
-    return str(value)
-
-
 def dyadic_from_str(text) -> Dyadic:
     if not isinstance(text, str):
         raise ParseError(f"expected a 'p/2^k' string, got {text!r}")
@@ -132,25 +128,31 @@ def tower_element_from_obj(obj) -> TowerElement:
         raise ParseError("'towers' must be a nonempty list")
     params = []
     moves = []
-    for entry in towers:
+    for t, entry in enumerate(towers):
         if not isinstance(entry, dict):
             raise ParseError("each tower must be an object")
-        params.append((_int_from(entry.get("height")), dyadic_from_str(entry.get("base_measure"))))
+        height = _int_from(entry.get("height"))
+        params.append((height, dyadic_from_str(entry.get("base_measure"))))
         if "moves" in entry:
             pairs = entry["moves"]
             if not isinstance(pairs, list):
                 raise ParseError("'moves' must be a list of [level, shift] pairs")
             try:
-                moves.append({_int_from(i): _int_from(n) for i, n in pairs})
+                shifts = {_int_from(i): _int_from(n) for i, n in pairs}
             except (TypeError, ValueError):
                 raise ParseError("'moves' must be a list of [level, shift] pairs") from None
+            if len(shifts) != len(pairs):
+                raise ParseError(f"tower {t}: a level appears twice in 'moves'")
         elif "shifts" in entry:
             table = entry["shifts"]
             if not isinstance(table, list):
                 raise ParseError("'shifts' must be a list")
-            moves.append({i: _int_from(n) for i, n in enumerate(table) if _int_from(n)})
+            if len(table) != height:
+                raise ParseError(f"tower {t}: table length {len(table)} != height {height}")
+            shifts = dict(enumerate(map(_int_from, table)))
         else:
             raise ParseError("each tower needs 'moves' or 'shifts'")
+        moves.append(shifts)
     try:
         return TowerElement.from_moves(TowerSystem(params), moves)
     except ValueError as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from .clopen import check_depth
 from .dyadic import Dyadic
 from .errors import (
     CrossesTopError,
@@ -42,7 +43,9 @@ class TowerSystem:
     def __init__(self, towers: Sequence[tuple[int, Dyadic]]):
         validated = []
         mass = Dyadic(0)
-        for height, base in towers:
+        for t, (height, base) in enumerate(towers):
+            if not isinstance(height, int) or not isinstance(base, (Dyadic, int)):
+                raise TypeError(f"tower {t}: height must be an int, base a Dyadic or int")
             if height < 1:
                 raise ValueError(f"tower height {height} must be at least 1")
             base = base if isinstance(base, Dyadic) else Dyadic(base)
@@ -99,30 +102,12 @@ def _validated_moves(tower: Tower, t: int, moves: dict[int, int]) -> tuple:
 class TowerElement:
     """A level-shift element of a skyscraper system.
 
-    Construct from dense per-tower shift tables (one entry per level) or,
-    via :meth:`from_moves`, from mappings of the nonzero shifts only.
-    Within each tower the shifted levels must stay in range and permute
-    the tower's levels.
+    Construct with :meth:`from_moves` from one mapping of the nonzero
+    shifts per tower.  Within each tower the shifted levels must stay in
+    range and permute the tower's levels.
     """
 
     __slots__ = ("system", "moves")
-
-    def __init__(self, system: TowerSystem, shifts: Sequence[Sequence[int]]):
-        if len(shifts) != len(system.towers):
-            raise ValueError("one shift table per tower expected")
-        sparse = []
-        for t, (tower, table) in enumerate(zip(system.towers, shifts)):
-            table = list(table)
-            if len(table) != tower.height:
-                raise ValueError(
-                    f"tower {t}: table length {len(table)} != height {tower.height}"
-                )
-            sparse.append({i: n for i, n in enumerate(table) if n})
-        self.system = system
-        self.moves = tuple(
-            _validated_moves(tower, t, m)
-            for t, (tower, m) in enumerate(zip(system.towers, sparse))
-        )
 
     @classmethod
     def from_moves(cls, system: TowerSystem, moves: Sequence[dict[int, int]]) -> "TowerElement":
@@ -143,22 +128,6 @@ class TowerElement:
     @property
     def is_identity(self) -> bool:
         return all(not m for m in self.moves)
-
-    def shift_at(self, tower: int, level: int) -> int:
-        for i, n in self.moves[tower]:
-            if i == level:
-                return n
-        return 0
-
-    def dense_shifts(self) -> tuple[tuple[int, ...], ...]:
-        """Full per-level tables; only sensible for small towers."""
-        out = []
-        for tower, m in zip(self.system.towers, self.moves):
-            table = [0] * tower.height
-            for i, n in m:
-                table[i] = n
-            out.append(tuple(table))
-        return tuple(out)
 
     def __mul__(self, other: "TowerElement") -> "TowerElement":
         if not isinstance(other, TowerElement):
@@ -211,33 +180,24 @@ def tower_metric(
     """
     if u.system != v.system:
         raise SystemMismatchError("metric needs elements of one system")
-    total = Dyadic(0)
-    if induced_on is None:
-        for tower, a, b in zip(u.system.towers, u.moves, v.moves):
-            a_map, b_map = dict(a), dict(b)
-            weight = sum(
-                abs(a_map.get(i, 0) - b_map.get(i, 0))
-                for i in set(a_map) | set(b_map)
-            )
-            total = total + tower.base_measure * weight
-        return total
-
-    if len(induced_on) != len(u.system.towers):
+    if induced_on is not None and len(induced_on) != len(u.system.towers):
         raise ValueError("one level collection per tower expected")
-    for t, (tower, levels, a, b) in enumerate(
-        zip(u.system.towers, induced_on, u.moves, v.moves)
-    ):
-        ordered = sorted(set(levels))
-        if any(not 0 <= i < tower.height for i in ordered):
-            raise ValueError(f"tower {t}: level set out of range")
-        position = {level: k for k, level in enumerate(ordered)}
+    total = Dyadic(0)
+    for t, (tower, a, b) in enumerate(zip(u.system.towers, u.moves, v.moves)):
         a_map, b_map = dict(a), dict(b)
-        for table in (a_map, b_map):
-            for i, n in table.items():
-                if i not in position or i + n not in position:
-                    raise NotInLevelSetError(
-                        f"tower {t}: move {i} -> {i + n} leaves the level set"
-                    )
+        if induced_on is None:
+            position = range(tower.height)
+        else:
+            ordered = sorted(set(induced_on[t]))
+            if any(not 0 <= i < tower.height for i in ordered):
+                raise ValueError(f"tower {t}: level set out of range")
+            position = {level: k for k, level in enumerate(ordered)}
+            for table in (a_map, b_map):
+                for i, n in table.items():
+                    if i not in position or i + n not in position:
+                        raise NotInLevelSetError(
+                            f"tower {t}: move {i} -> {i + n} leaves the level set"
+                        )
         weight = sum(
             abs(position[i + a_map.get(i, 0)] - position[i + b_map.get(i, 0)])
             for i in set(a_map) | set(b_map)
@@ -259,6 +219,7 @@ def counterexample_element(n: int) -> TowerElement:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_depth(n)  # 2**n moves: the entries of a depth-n table
     height = 4**n
     system = TowerSystem([(height, Dyadic(1, 3 * n))])
     jump = height // 2
@@ -293,6 +254,7 @@ class CounterexampleReport:
 def counterexample_report(n_max: int) -> CounterexampleReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    check_depth(n_max)
     rows = []
     for n in range(1, n_max + 1):
         element = counterexample_element(n)

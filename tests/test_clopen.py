@@ -9,7 +9,6 @@ from odofull import (
     ClopenSet,
     DepthCapError,
     Dyadic,
-    boolean_op,
     induce,
     ncycle_support_test,
     random_element,
@@ -63,12 +62,8 @@ def test_boolean_examples():
     half1 = ClopenSet.from_prefixes(1, {1})
     assert (half0 | half1) == ClopenSet.full()
     assert (half0 & ClopenSet.from_prefixes(2, {0, 1})) == ClopenSet.from_prefixes(2, {0})
-    assert boolean_op("difference", ClopenSet.full(), half0) == half1
-    assert boolean_op("complement", half0) == half1
-    with pytest.raises(ValueError):
-        boolean_op("union", half0)
-    with pytest.raises(ValueError):
-        boolean_op("xor", half0, half1)
+    assert ClopenSet.full() - half0 == half1
+    assert ~half0 == half1
 
 
 def test_translate_examples():

@@ -69,6 +69,14 @@ def test_hash_consistency():
     assert len({Dyadic(1, 1), Dyadic(2, 2), Dyadic(4, 3)}) == 1
 
 
+def test_integer_values_hash_like_ints():
+    for n in (0, 1, -1, 2**70, -(2**70)):
+        assert hash(Dyadic(n)) == hash(n)
+    assert len({Dyadic(1), 1}) == 1
+    assert {Dyadic(2): "x"}.get(2) == "x"
+    assert hash(Dyadic(3, 2)) == hash(Dyadic(6, 3))
+
+
 def test_float_is_approximate_view_only():
     assert float(Dyadic(1, 2)) == 0.25
     assert float(Dyadic(-3, 1)) == -1.5

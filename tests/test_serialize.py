@@ -23,7 +23,7 @@ from odofull import serialize
 
 
 def test_dyadic_strings():
-    assert serialize.dyadic_str(Dyadic(1, 2)) == "1/2^2"
+    assert str(Dyadic(1, 2)) == "1/2^2"
     assert serialize.dyadic_from_str("3/2^5") == Dyadic(3, 5)
     with pytest.raises(ParseError):
         serialize.dyadic_from_str("x/2^5")
@@ -113,6 +113,20 @@ def test_tower_element_accepts_dense_shifts():
     }
     u = parse_element(json.dumps(obj))
     assert dict(u.moves[0]) == {0: 2, 2: -2}
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [
+        {"height": 4, "base_measure": "1/2^3", "shifts": [2, 0, -2]},
+        {"height": 4, "base_measure": "1/2^3", "shifts": [2, 0, -2, 0, 0]},
+        {"height": 4, "base_measure": "1/2^3", "moves": [[0, 2], [2, -2], [0, 1]]},
+    ],
+)
+def test_tower_element_rejects_malformed_tables(tower):
+    obj = {"system": "skyscraper", "towers": [tower]}
+    with pytest.raises(ParseError, match="tower 0"):
+        serialize.tower_element_from_obj(obj)
 
 
 def test_empty_word_certificate_json():

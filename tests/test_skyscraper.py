@@ -6,6 +6,7 @@ import pytest
 
 from odofull import (
     CrossesTopError,
+    DepthCapError,
     Dyadic,
     MassExceedsOneError,
     NotBijectiveError,
@@ -17,6 +18,11 @@ from odofull import (
     counterexample_report,
     tower_metric,
 )
+
+
+def from_shifts(system: TowerSystem, tables) -> TowerElement:
+    """Build from dense per-level shift tables, one per tower."""
+    return TowerElement.from_moves(system, [dict(enumerate(table)) for table in tables])
 
 
 def path_distance_oracle(u: TowerElement, v: TowerElement) -> Dyadic:
@@ -59,19 +65,26 @@ def test_tower_make_mass_check():
         TowerSystem([(1, Dyadic(0))])
 
 
+def test_tower_make_rejects_non_integer_values():
+    for tower in [(1, 0.5), (1.5, Dyadic(1, 1)), (1, "1/2^1")]:
+        with pytest.raises(TypeError, match="tower 1"):
+            TowerSystem([(2, Dyadic(1, 3)), tower])
+    assert TowerSystem([(1, 1)]).towers[0].base_measure == Dyadic(1)
+
+
 # -- elements -----------------------------------------------------------------
 
 
 def test_identity_element():
     system = TowerSystem([(4, Dyadic(1, 3))])
-    u = TowerElement(system, [[0, 0, 0, 0]])
+    u = from_shifts(system, [[0, 0, 0, 0]])
     assert u.is_identity
     assert u == TowerElement.identity(system)
 
 
 def test_half_swap_is_involution():
     system = TowerSystem([(4, Dyadic(1, 3))])
-    u = TowerElement(system, [[2, 2, -2, -2]])
+    u = from_shifts(system, [[2, 2, -2, -2]])
     assert u * u == TowerElement.identity(system)
     assert u.inverse() == u
 
@@ -79,27 +92,25 @@ def test_half_swap_is_involution():
 def test_crossing_top_rejected():
     system = TowerSystem([(4, Dyadic(1, 3))])
     with pytest.raises(CrossesTopError):
-        TowerElement(system, [[1, 1, 1, 1]])
+        from_shifts(system, [[1, 1, 1, 1]])
     with pytest.raises(CrossesTopError):
-        TowerElement(system, [[-1, 0, 0, 0]])
+        from_shifts(system, [[-1, 0, 0, 0]])
 
 
 def test_non_bijective_rejected():
     system = TowerSystem([(4, Dyadic(1, 3))])
     with pytest.raises(NotBijectiveError):
-        TowerElement(system, [[1, 0, 0, 0]])
+        from_shifts(system, [[1, 0, 0, 0]])
     with pytest.raises(NotBijectiveError):
-        TowerElement(system, [[2, 1, 0, -1]])
+        from_shifts(system, [[2, 1, 0, -1]])
 
 
 def test_sparse_and_dense_construction_agree():
     system = TowerSystem([(8, Dyadic(1, 4)), (2, Dyadic(1, 4))])
-    dense = TowerElement(system, [[4, 0, 0, 0, -4, 0, 0, 0], [1, -1]])
+    dense = from_shifts(system, [[4, 0, 0, 0, -4, 0, 0, 0], [1, -1]])
     sparse = TowerElement.from_moves(system, [{0: 4, 4: -4}, {0: 1, 1: -1}])
     assert dense == sparse
-    assert dense.dense_shifts() == ((4, 0, 0, 0, -4, 0, 0, 0), (1, -1))
-    assert dense.shift_at(0, 4) == -4
-    assert dense.shift_at(0, 3) == 0
+    assert dense.moves == (((0, 4), (4, -4)), ((0, 1), (1, -1)))
 
 
 def test_group_laws_random():
@@ -112,7 +123,7 @@ def test_group_laws_random():
             levels = list(range(tower.height))
             rng.shuffle(levels)
             shifts.append([levels[i] - i for i in range(tower.height)])
-        return TowerElement(system, shifts)
+        return from_shifts(system, shifts)
 
     identity = TowerElement.identity(system)
     for _ in range(100):
@@ -156,13 +167,13 @@ def test_metric_matches_path_walk_oracle():
             levels = list(range(tower.height))
             rng.shuffle(levels)
             shifts.append([levels[i] - i for i in range(tower.height)])
-        u = TowerElement(system, shifts)
+        u = from_shifts(system, shifts)
         shifts = []
         for tower in system.towers:
             levels = list(range(tower.height))
             rng.shuffle(levels)
             shifts.append([levels[i] - i for i in range(tower.height)])
-        v = TowerElement(system, shifts)
+        v = from_shifts(system, shifts)
         assert tower_metric(u, v) == path_distance_oracle(u, v)
 
 
@@ -207,6 +218,13 @@ def test_counterexample_report_exact_columns():
     for row in report.rows:
         assert row.ambient_distance == Dyadic(1, 1)
         assert row.induced_distance == Dyadic(1, row.n + 1)
+
+
+def test_counterexample_rows_are_capped_like_table_depth():
+    with pytest.raises(DepthCapError):
+        counterexample_report(25)
+    with pytest.raises(DepthCapError):
+        counterexample_element(25)
 
 
 def test_counterexample_induced_column_sums_geometrically():

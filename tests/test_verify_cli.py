@@ -153,6 +153,13 @@ def test_cli_depth_cap_env(monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cli_counterexample_rows_obey_depth_cap(monkeypatch, capsys):
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "3")
+    assert main(["counterexample", "--max-n", "4"]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert main(["counterexample", "--max-n", "3"]) == 0
+
+
 def test_report_exit_status_tracks_failures():
     clean = RunReport("demo", 3)
     assert clean.exit_status == 0
