@@ -42,6 +42,8 @@ class Dyadic:
     __slots__ = ("num", "exp2")
 
     def __init__(self, num: int, exp2: int = 0):
+        if not (isinstance(num, int) and isinstance(exp2, int)):
+            raise TypeError(f"Dyadic needs integers, got {num!r} / 2^{exp2!r}")
         if exp2 < 0:
             raise ValueError("exp2 must be nonnegative")
         if num == 0:

@@ -79,11 +79,6 @@ class FullGroupElement:
         check_depth(depth)
         return self.cocycle * (1 << (depth - self.depth))
 
-    def permutation_at_depth(self, depth: int) -> list[int]:
-        table = self.cocycle_at_depth(depth)
-        size = 1 << depth
-        return [(s + n) % size for s, n in enumerate(table)]
-
     # -- group structure -----------------------------------------------------
 
     def __mul__(self, other: "FullGroupElement") -> "FullGroupElement":

@@ -4,19 +4,21 @@ Every operation here returns either a tuple of elements whose product is
 the input, or a :class:`FactorizationCertificate` whose word recomposes to
 the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
+
+One loop, ``_peel``, splits a positive element into odometer return maps.
+``factor_positive`` records the peeled supports; ``normal_form`` turns the
+peeled maps themselves into periodic factors and odometer steps, and moves
+the steps to the right by rotating the step tables of the factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Union
 
 from .clopen import ClopenSet, pack
-from .element import (
-    PERIODIC,
-    TRIVIAL,
-    FullGroupElement,
-)
+from .element import PERIODIC, TRIVIAL, FullGroupElement
 from .errors import NotAlmostPositiveError, NotPeriodicError, NotPositiveError
 from .induced import induce
 
@@ -120,7 +122,8 @@ def positivize(u: FullGroupElement) -> Positivized:
 
     ``domain`` collects the cylinders whose forward step sums stay strictly
     positive; one cycle length's worth of sums suffices because the sums
-    repeat shifted by the (positive) displacement.  Every nontrivial cycle
+    repeat shifted by the (positive) displacement, and one backward scan
+    over two laps of running sums finds them all.  Every nontrivial cycle
     contains such a cylinder, so inducing on ``domain`` preserves the index
     and the two complementary quotients are periodic.
 
@@ -142,15 +145,17 @@ def positivize(u: FullGroupElement) -> Positivized:
                 f"cycle through prefix {cycle.prefixes[0]} has"
                 f" displacement {cycle.displacement}"
             )
+        # Start i qualifies when sums[i] is below sums[i + 1 .. i + length].
+        # The second lap repeats the first plus the positive displacement,
+        # so that is: below every later sum of the two laps.
         length = len(cycle.prefixes)
-        for offset in range(length):
-            total = 0
-            for k in range(length):
-                total += steps[cycle.prefixes[(offset + k) % length]]
-                if total <= 0:
-                    break
-            else:
-                in_domain[cycle.prefixes[offset]] = 1
+        sums = list(accumulate((steps[s] for s in cycle.prefixes * 2), initial=0))
+        lowest = sums[-1]
+        for i in range(2 * length - 1, -1, -1):
+            if sums[i] < lowest:
+                lowest = sums[i]
+                if i < length:
+                    in_domain[cycle.prefixes[i]] = 1
     domain = ClopenSet(u.depth, pack(in_domain))
     straightened = induce(u, domain).element
     return Positivized(
@@ -164,95 +169,87 @@ def positivize(u: FullGroupElement) -> Positivized:
 # -- positive elements as products of return maps ------------------------------
 
 
-def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
-    """Write a positive element as a product of odometer return maps.
+def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement]]:
+    """Support and odometer return map of each peel of a positive element.
 
     Peeling off the return map to the current support keeps the remainder
     positive and lowers the index by exactly one (every nonempty clopen
-    set meets the single odometer cycle), so the word length equals the
-    index of ``u``.
+    set meets the single odometer cycle), so ``u`` is the product of the
+    return maps in reverse peel order and there are index many of them.
     """
-    if any(n < 0 for n in u.cocycle):
-        raise NotPositiveError("element has a negative step value")
-    domains = []
+    peels = []
     remainder = u
     for _ in range(u.index()):
         support = remainder.support()
         return_map = induce(FullGroupElement.odometer(), support).element
         remainder = remainder * return_map.inverse()
-        domains.append(support)
+        peels.append((support, return_map))
         if remainder.is_identity:
             break
     assert remainder.is_identity, "index many peels must exhaust a positive element"
-    return _certified(u, (InducedFactor(a) for a in reversed(domains)))
+    return peels
+
+
+def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
+    """Write a positive element as a product of odometer return maps.
+
+    The word lists the peeled return maps outermost first, so its length
+    equals the index of ``u``.
+    """
+    if any(n < 0 for n in u.cocycle):
+        raise NotPositiveError("element has a negative step value")
+    return _certified(u, (InducedFactor(support) for support, _ in reversed(_peel(u))))
 
 
 # -- normal form ---------------------------------------------------------------
 
 
-class _WordBuilder:
-    """Accumulate a product as (periodic factors) o (odometer power).
+def _rotated(q: FullGroupElement, power: int) -> FullGroupElement:
+    """The conjugate ``T^power q T^-power``.
 
-    Maintains the invariant that everything consumed so far equals the
-    stored factors composed left to right, followed by ``power`` odometer
-    steps.  Periodic pieces commute past the pending power by conjugation,
-    which preserves periodicity.
+    Its step on the cylinder ``s`` is the step of ``q`` on ``s - power``,
+    so its table is the table of ``q`` rotated by ``power``.
     """
-
-    def __init__(self):
-        self.factors: list[FullGroupElement] = []
-        self.power = 0
-
-    def _conjugated(self, q: FullGroupElement) -> FullGroupElement:
-        if self.power == 0:
-            return q
-        shift = FullGroupElement.odometer(self.power)
-        return shift * q * shift.inverse()
-
-    def push_periodic(self, q: FullGroupElement) -> None:
-        q = self._conjugated(q)
-        if not q.is_identity:
-            self.factors.append(q)
-
-    def push_return_map(self, domain: ClopenSet, inverted: bool) -> None:
-        return_map = induce(FullGroupElement.odometer(), domain).element
-        odo = FullGroupElement.odometer()
-        if inverted:
-            self.push_periodic(return_map.inverse() * odo)
-            self.power -= 1
-        else:
-            self.push_periodic(return_map * odo.inverse())
-            self.power += 1
+    shift = power % (1 << q.depth)
+    if shift == 0:
+        return q
+    table = q.cocycle
+    return FullGroupElement(q.depth, table[-shift:] + table[:-shift])
 
 
 def normal_form(u: FullGroupElement) -> FactorizationCertificate:
     """Certified word of periodic factors followed by an odometer power.
 
     Pipeline: split by cycle displacement sign; straighten the positive
-    part (and the inverse of the negative part) into return maps times
-    periodic corrections; rewrite each return map as a periodic factor
-    times one odometer step, collecting the steps on the right.  The
-    trailing power equals the index of ``u``.
+    part (and the inverse of the negative part) into a periodic correction
+    times a positive element, and peel that element into return maps
+    ``R``.  The input is then a product of periodic pieces and odometer
+    steps: ``R = (R T^-1) T`` on the positive side and
+    ``R^-1 = (R^-1 T) T^-1`` on the negative side.  One pass moves every
+    step to the right, conjugating each periodic piece past the steps
+    before it, and the trailing power equals the index of ``u``.
     """
     parts = decompose_pnp(u)
-    builder = _WordBuilder()
-
-    builder.push_periodic(parts.periodic)
+    forward, back = FullGroupElement.odometer(), FullGroupElement.odometer(-1)
+    pieces = [(parts.periodic, 0)]
 
     if not parts.almost_positive.is_identity:
         straightened = positivize(parts.almost_positive)
-        builder.push_periodic(straightened.left_periodic)
-        for factor in factor_positive(straightened.induced).word:
-            builder.push_return_map(factor.domain, inverted=False)
+        pieces.append((straightened.left_periodic, 0))
+        pieces += [(r * back, 1) for _, r in reversed(_peel(straightened.induced))]
 
     if not parts.almost_negative.is_identity:
         straightened = positivize(parts.almost_negative.inverse())
-        for factor in reversed(factor_positive(straightened.induced).word):
-            builder.push_return_map(factor.domain, inverted=True)
-        builder.push_periodic(straightened.left_periodic.inverse())
+        pieces += [(r.inverse() * forward, -1) for _, r in _peel(straightened.induced)]
+        pieces.append((straightened.left_periodic.inverse(), 0))
 
-    word = [PeriodicFactor(q) for q in builder.factors]
-    word.append(OdometerPowerFactor(builder.power))
+    word = []
+    power = 0
+    for piece, step in pieces:
+        if not piece.is_identity:
+            word.append(PeriodicFactor(_rotated(piece, power)))
+        power += step
+    word.append(OdometerPowerFactor(power))
     return _certified(u, word)
 
 
@@ -267,16 +264,15 @@ def factor_periodic_into_involutions(u: FullGroupElement) -> FactorizationCertif
     cycle into adjacent transpositions turns it into swaps of consecutive
     images of the fundamental cylinder.
     """
-    if not u.is_periodic():
+    cycles = u.orbit_decomposition().cycles
+    if any(cycle.displacement != 0 for cycle in cycles):
         raise NotPeriodicError("element has a cycle of nonzero displacement")
     size = 1 << u.depth
     word = []
-    for cycle in u.orbit_decomposition().cycles:
+    for cycle in cycles:
         if cycle.kind != PERIODIC:
             continue
-        for i in range(len(cycle.prefixes) - 1):
-            lower = cycle.prefixes[i]
-            upper = cycle.prefixes[i + 1]
+        for lower, upper in zip(cycle.prefixes, cycle.prefixes[1:]):
             step = u.cocycle[lower]
             table = [0] * size
             table[lower] = step

@@ -1,7 +1,9 @@
 """Golden CLI outputs: exact stdout, ``--out`` contents and exit codes.
 
 Every subcommand runs in json, csv and text form on small fixed inputs
-(depth at most 5), plus the usage and parse error rows.  ``{tmp}`` in an
+(depth at most 5), plus the usage and parse error rows and two depth-6
+certificates with |index| above 20 (``normal-form`` at a negative index,
+``factor-positive`` at a positive one).  ``{tmp}`` in an
 argument stands for a per-test directory holding the input files below.
 ``verify`` rows have their wall time masked; nothing else is.
 
@@ -35,8 +37,22 @@ SKYSCRAPER = '{"system":"skyscraper","towers":[{"height":2,"base_measure":"1/2^1
 SET3 = '{"depth":3,"prefixes":[2,4,5,6,7]}'
 SET4 = '{"depth":4,"prefixes":[0,1,2,7,9,10,12,13,14]}'
 WHOLE = '{"depth":0,"prefixes":[0]}'
+# Depth 6, index -26, with periodic, almost positive and almost negative parts.
+NEGATIVE6 = json.dumps({"system": "dyadic_odometer", "depth": 6, "cocycle": [
+    -1, 28, -102, -65, 86, 4, -48, -95, -80, 26, -90, 50, 11, -74, -95, -78,
+    -47, -47, -69, -93, -98, -87, 20, -68, -80, -98, -46, -66, 30, 46, -79, 72,
+    -65, -52, 48, 70, -30, 27, 64, -71, 17, -81, 9, -13, -34, -25, 30, -31,
+    84, -32, -54, -94, -64, 6, -1, -70, 35, -50, 52, -45, 47, -88, -90, 70,
+]})
+# Depth 6, index 24, every step nonnegative.
+POSITIVE6 = json.dumps({"system": "dyadic_odometer", "depth": 6, "cocycle": [
+    14, 6, 47, 10, 42, 12, 50, 13, 30, 19, 8, 31, 36, 27, 25, 26,
+    11, 27, 17, 3, 25, 2, 11, 24, 55, 12, 28, 37, 35, 3, 13, 22,
+    2, 57, 27, 58, 58, 48, 17, 13, 34, 28, 18, 25, 14, 50, 30, 15,
+    35, 1, 7, 38, 14, 47, 21, 60, 9, 10, 1, 13, 28, 19, 8, 10,
+]})
 
-FILES = {"e5.json": E5, "set4.json": SET4}
+FILES = {"e5.json": E5, "set4.json": SET4, "negative6.json": NEGATIVE6, "positive6.json": POSITIVE6}
 
 MATRIX = [
     ["verify", "--suite", "counterexample", "--seed", "1"],
@@ -83,6 +99,10 @@ ROWS += [
     ["escape-family", "--max-m", "0"],
     ["index", E3, "--format", "yaml"],
     ["no-such-command"],
+    ["normal-form", "{tmp}/negative6.json", "--format", "json"],
+    ["normal-form", "{tmp}/negative6.json", "--format", "text"],
+    ["factor-positive", "{tmp}/positive6.json", "--format", "json"],
+    ["factor-positive", "{tmp}/positive6.json", "--format", "text"],
 ]
 
 _WALL_TIME = re.compile(r"\d+\.\d+")

@@ -31,6 +31,14 @@ def test_negative_exponent_rejected():
         Dyadic(1, -1)
 
 
+def test_non_integer_arguments_rejected():
+    for num, exp2 in ((3, 1.5), (0.5, 0), (Fraction(1, 2), 0), ("3", 1), (3, None)):
+        with pytest.raises(TypeError):
+            Dyadic(num, exp2)
+    with pytest.raises(TypeError):
+        Dyadic(0.5)
+
+
 def test_string_round_trip():
     for value in [Dyadic(3, 2), Dyadic(-5, 7), Dyadic(0), Dyadic(1023, 11)]:
         assert Dyadic.from_string(str(value)) == value

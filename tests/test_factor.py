@@ -1,6 +1,7 @@
 """Decompositions and certified factorizations."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -18,6 +19,7 @@ from odofull import (
     positivize,
     random_element,
 )
+from odofull.factor import _rotated
 from odofull.verify import random_periodic_element
 
 E = FullGroupElement
@@ -117,6 +119,39 @@ def test_positivize_random_almost_positive_elements():
             checked += 1
 
 
+def positive_starts(u):
+    """Prefixes whose forward step sums over one cycle lap all stay positive."""
+    starts = set()
+    for cycle in u.orbit_decomposition().cycles:
+        lap = [u.cocycle[s] for s in cycle.prefixes]
+        for offset, start in enumerate(cycle.prefixes):
+            if cycle.displacement > 0 and min(accumulate(lap[offset:] + lap[:offset])) > 0:
+                starts.add(start)
+    return starts
+
+
+def test_positivize_domain_matches_lap_sums():
+    rng = random.Random(337)
+    for _ in range(500):
+        u = decompose_pnp(random_element(rng.randint(0, 6), rng.randint(1, 3), rng=rng)).almost_positive
+        domain = positivize(u).domain
+        expected = positive_starts(u)
+        if expected:
+            assert domain == ClopenSet.from_prefixes(u.depth, expected)
+        else:
+            assert domain.is_empty
+
+
+def test_positivize_single_long_positive_cycle():
+    # every running sum of an all-positive cycle is below the later ones
+    for depth in range(6):
+        u = E(depth, [1] * ((1 << depth) - 1) + [1 + (1 << depth)])
+        straightened = positivize(u)
+        assert straightened.domain == ClopenSet.full()
+        assert straightened.induced == u
+        assert straightened.left_periodic == IDENTITY
+
+
 # -- factor_positive -----------------------------------------------------------------
 
 
@@ -164,6 +199,16 @@ def test_factor_positive_on_products_of_return_maps():
 
 
 # -- normal form -----------------------------------------------------------------------
+
+
+def test_rotation_is_conjugation_by_odometer_power():
+    rng = random.Random(347)
+    for depth in range(7):
+        size = 1 << depth
+        for _ in range(10):
+            for q in (random_element(depth, 2, rng=rng), random_periodic_element(rng, depth)):
+                for power in (-size - 1, -1, 0, 1, size, 1000):
+                    assert _rotated(q, power) == T**power * q * T**-power
 
 
 def test_normal_form_odometer():

@@ -26,6 +26,12 @@ T = E.odometer()
 IDENTITY = E.identity()
 
 
+def permutation_at_depth(u, depth):
+    """Prefix permutation ``s -> (s + n(s)) mod 2**depth`` of ``u`` at ``depth``."""
+    size = 1 << depth
+    return [(s + n) % size for s, n in enumerate(u.cocycle_at_depth(depth))]
+
+
 def random_set(rng, depth, nonempty=True):
     bits = rng.getrandbits(1 << depth)
     if nonempty and not bits:
@@ -102,7 +108,7 @@ def test_induce_first_return_semantics_via_powers():
             for k in range(1, r + 1):
                 if k not in powers:
                     powers[k] = powers[k - 1] * u
-                landing = powers[k].permutation_at_depth(depth_r)[s]
+                landing = permutation_at_depth(powers[k], depth_r)[s]
                 inside = bool((member >> landing) & 1)
                 assert inside == (k == r)
             table = powers[r].cocycle_at_depth(depth_r)

@@ -12,7 +12,7 @@ import timeit
 
 import pytest
 
-from odofull import ClopenSet, escape_time, induce, random_element
+from odofull import ClopenSet, FullGroupElement, escape_time, induce, positivize, random_element
 
 LOW, HIGH = 12, 16
 REPEATS = 5
@@ -33,6 +33,11 @@ OPERATIONS = {
         ClopenSet.from_prefixes,
         d,
         random_set(rng, d).prefixes(),
+    ),
+    # one positive cycle through every prefix: the longest cycle there is
+    "positivize": lambda rng, d: (
+        positivize,
+        FullGroupElement(d, [1] * ((1 << d) - 1) + [1 + (1 << d)]),
     ),
 }
 
