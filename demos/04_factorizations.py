@@ -2,9 +2,10 @@
 
 The pipeline: split an element by the sign of its cycle displacements,
 straighten the signed parts into return maps times periodic corrections,
-peel positive elements into return maps one index at a time, and expand
-periodic elements into involutions.  Each certificate recomposes its word
-and records the comparison in ``verified``.
+peel positive elements into return maps one index at a time, and write
+each periodic element as a product of two reflections, which are
+involutions.  Each certificate recomposes its word and records the
+comparison in ``verified``.
 """
 
 import json

@@ -34,7 +34,7 @@ class NotPeriodicError(OdofullError):
 
 
 class SearchDepthError(OdofullError):
-    """A bounded search was too shallow to certify a positive verdict."""
+    """A witness exists only deeper than the allowed extra depth."""
 
 
 class MassExceedsOneError(OdofullError):

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import NamedTuple, Union
 
 from .clopen import ClopenSet, pack
-from .element import PERIODIC, TRIVIAL, FullGroupElement
+from .element import TRIVIAL, FullGroupElement
 from .errors import NotAlmostPositiveError, NotPeriodicError, NotPositiveError
 from .induced import induce
 
@@ -158,12 +158,8 @@ def positivize(u: FullGroupElement) -> Positivized:
                     in_domain[cycle.prefixes[i]] = 1
     domain = ClopenSet(u.depth, pack(in_domain))
     straightened = induce(u, domain).element
-    return Positivized(
-        domain,
-        straightened,
-        u * straightened.inverse(),
-        straightened.inverse() * u,
-    )
+    inverse = straightened.inverse()
+    return Positivized(domain, straightened, u * inverse, inverse * u)
 
 
 # -- positive elements as products of return maps ------------------------------
@@ -257,25 +253,27 @@ def normal_form(u: FullGroupElement) -> FactorizationCertificate:
 
 
 def factor_periodic_into_involutions(u: FullGroupElement) -> FactorizationCertificate:
-    """Write a periodic element as a product of involutions.
+    """Write a periodic element as a product of at most two involutions.
 
-    Each zero-displacement cycle, enumerated from its least prefix, is a
-    cyclic shift of the cylinders it visits; the standard expansion of a
-    cycle into adjacent transpositions turns it into swaps of consecutive
-    images of the fundamental cylinder.
+    A cycle is the product of two reflections.  Let ``c_0 ... c_{L-1}`` be
+    a zero-displacement cycle and ``S_j`` the sum of its first ``j`` steps,
+    indices mod ``L`` (``S_L = S_0 = 0``).  The reflection ``r1`` sends
+    ``c_j`` to ``c_{-j}`` with step ``S_{-j} - S_j``, ``r2`` sends ``c_j`` to
+    ``c_{1-j}`` with step ``S_{1-j} - S_j``; each undoes itself, and
+    ``r2 r1`` moves ``c_j`` by ``S_{j+1} - S_j``, the step of ``u``.  The
+    cycles are disjoint, so one pair of tables serves them all.  The word
+    is ``[r2, r1]`` without its identity factors.
     """
     cycles = u.orbit_decomposition().cycles
     if any(cycle.displacement != 0 for cycle in cycles):
         raise NotPeriodicError("element has a cycle of nonzero displacement")
     size = 1 << u.depth
-    word = []
+    r1, r2 = [0] * size, [0] * size
     for cycle in cycles:
-        if cycle.kind != PERIODIC:
-            continue
-        for lower, upper in zip(cycle.prefixes, cycle.prefixes[1:]):
-            step = u.cocycle[lower]
-            table = [0] * size
-            table[lower] = step
-            table[upper] = -step
-            word.append(PeriodicFactor(FullGroupElement(u.depth, table)))
+        length = len(cycle.prefixes)
+        sums = list(accumulate((u.cocycle[s] for s in cycle.prefixes), initial=0))
+        for j, s in enumerate(cycle.prefixes):
+            r1[s] = sums[-j % length] - sums[j]
+            r2[s] = sums[(1 - j) % length] - sums[j]
+    word = [PeriodicFactor(FullGroupElement(u.depth, table)) for table in (r2, r1) if any(table)]
     return _certified(u, word)

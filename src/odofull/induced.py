@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .clopen import ClopenSet, check_depth, unpack
+from .clopen import ClopenSet, unpack
 from .dyadic import Dyadic
 from .element import FullGroupElement
 from .errors import EmptySetError, OverlapError, SearchDepthError
@@ -109,7 +109,7 @@ def oddpart(n: int) -> int:
 def ncycle_support_test(
     subset: ClopenSet, order: int, max_extra_depth: int = 6
 ) -> tuple[bool, ClopenSet | None]:
-    """Search for a piece tiling ``subset`` under its first-return map.
+    """A piece tiling ``subset`` under its first-return map, if one exists.
 
     Looks for a cylinder union ``B`` with ``subset`` equal to the disjoint
     union of ``B`` and its first ``order - 1`` images under the return map
@@ -121,11 +121,11 @@ def ncycle_support_test(
     member along the cycle.  The odometer adds one to the prefix, so that
     cycle, read from the least member, is the members in ascending order.
 
-    The bounded search is cross-checked against the closed-form criterion
-    (the odd part of ``order`` divides the member count): the two can only
-    disagree when ``max_extra_depth`` is too small to absorb the two-part
-    of ``order``, which raises ``SearchDepthError`` rather than returning
-    a silently wrong negative.
+    Hence a witness exists at all exactly when the odd part of ``order``
+    divides ``count``, and the least extra depth is the excess of the
+    two-adic valuation of ``order`` over that of ``count``.  An excess
+    beyond ``max_extra_depth`` raises ``SearchDepthError`` rather than
+    returning a silently wrong negative.
     """
     if subset.is_empty:
         raise EmptySetError("an empty set supports no cycles")
@@ -135,18 +135,14 @@ def ncycle_support_test(
         raise ValueError("max_extra_depth must be nonnegative")
 
     count = subset.cylinder_count()
-    for extra in range(max_extra_depth + 1):
-        depth = subset.depth + extra
-        check_depth(depth)
-        if (count << extra) % order:
-            continue
-        members = subset.prefixes_at_depth(depth)
-        return True, ClopenSet.from_prefixes(depth, members[::order])
-
-    if count % oddpart(order) == 0:
-        needed = (order & -order).bit_length() - (count & -count).bit_length()
+    if count % oddpart(order):
+        return False, None
+    extra = max(0, (order & -order).bit_length() - (count & -count).bit_length())
+    if extra > max_extra_depth:
         raise SearchDepthError(
-            f"a witness exists at extra depth {max(0, needed)},"
+            f"a witness exists at extra depth {extra},"
             f" beyond the searched bound {max_extra_depth}"
         )
-    return False, None
+    depth = subset.depth + extra
+    members = subset.prefixes_at_depth(depth)
+    return True, ClopenSet.from_prefixes(depth, members[::order])

@@ -281,8 +281,20 @@ def test_involutions_reject_aperiodic():
 def test_involutions_random_periodic():
     rng = random.Random(337)
     for _ in range(150):
-        u = random_periodic_element(rng, rng.randint(0, 6))
+        u = random_periodic_element(rng, rng.randint(0, 8))
         cert = factor_periodic_into_involutions(u)
         assert cert.verified
+        assert len(cert.word) <= 2
+        for f in cert.word:
+            assert f.element * f.element == IDENTITY
+
+
+def test_involutions_of_single_long_cycle():
+    # one zero-displacement cycle through every prefix
+    for depth in range(1, 11):
+        u = E(depth, [1] * ((1 << depth) - 1) + [1 - (1 << depth)])
+        cert = factor_periodic_into_involutions(u)
+        assert cert.verified
+        assert len(cert.word) <= 2
         for f in cert.word:
             assert f.element * f.element == IDENTITY

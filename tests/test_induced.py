@@ -250,6 +250,16 @@ def test_ncycle_shallow_search_raises_instead_of_false_negative():
     assert found and tiling_holds(subset, piece, 16)
 
 
+def test_ncycle_negative_verdict_ignores_depth_cap(monkeypatch):
+    # five cylinders never support a 3-cycle, so no deeper level is built
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "5")
+    subset = ClopenSet.from_prefixes(3, {2, 4, 5, 6, 7})
+    assert ncycle_support_test(subset, 3) == (False, None)
+    monkeypatch.delenv("ERGO_DEPTH_CAP")
+    subset = ClopenSet.from_prefixes(20, {0, 1, 2, 3, 4})
+    assert ncycle_support_test(subset, 3) == (False, None)
+
+
 def test_ncycle_witness_always_tiles():
     rng = random.Random(241)
     for _ in range(150):

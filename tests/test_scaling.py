@@ -12,7 +12,15 @@ import timeit
 
 import pytest
 
-from odofull import ClopenSet, FullGroupElement, escape_time, induce, positivize, random_element
+from odofull import (
+    ClopenSet,
+    FullGroupElement,
+    escape_time,
+    factor_periodic_into_involutions,
+    induce,
+    positivize,
+    random_element,
+)
 
 LOW, HIGH = 12, 16
 REPEATS = 5
@@ -38,6 +46,11 @@ OPERATIONS = {
     "positivize": lambda rng, d: (
         positivize,
         FullGroupElement(d, [1] * ((1 << d) - 1) + [1 + (1 << d)]),
+    ),
+    # one zero-displacement cycle through every prefix
+    "factor_periodic_into_involutions": lambda rng, d: (
+        factor_periodic_into_involutions,
+        FullGroupElement(d, [1] * ((1 << d) - 1) + [1 - (1 << d)]),
     ),
 }
 
