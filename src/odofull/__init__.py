@@ -21,6 +21,7 @@ from .errors import (
     CrossesTopError,
     DepthCapError,
     EmptySetError,
+    InvariantError,
     MassExceedsOneError,
     NotAlmostPositiveError,
     NotBijectiveError,
@@ -79,6 +80,7 @@ __all__ = [
     "INFINITE",
     "InducedFactor",
     "InducedResult",
+    "InvariantError",
     "MassExceedsOneError",
     "NotAlmostPositiveError",
     "NotBijectiveError",

@@ -22,7 +22,7 @@ from math import lcm
 
 from .clopen import ClopenSet, check_depth, pack, unpack
 from .dyadic import Dyadic
-from .errors import NotBijectiveError
+from .errors import InvariantError, NotBijectiveError
 
 TRIVIAL = "trivial"
 PERIODIC = "periodic"
@@ -141,7 +141,8 @@ class FullGroupElement:
         """
         total = sum(self.cocycle)
         quotient, remainder = divmod(total, 1 << self.depth)
-        assert remainder == 0, "cocycle sum of a valid element is divisible"
+        if remainder:
+            raise InvariantError(f"cocycle sum {total} is not divisible by 2**{self.depth}")
         return quotient
 
     def support(self) -> ClopenSet:

@@ -55,3 +55,7 @@ class NotInLevelSetError(OdofullError):
 
 class ParseError(OdofullError):
     """Malformed serialized input."""
+
+
+class InvariantError(OdofullError):
+    """An internal consistency check failed: a defect, not a bad input."""

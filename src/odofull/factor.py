@@ -5,10 +5,10 @@ the input, or a :class:`FactorizationCertificate` whose word recomposes to
 the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
 
-One loop, ``_peel``, splits a positive element into odometer return maps.
-``factor_positive`` records the peeled supports; ``normal_form`` turns the
-peeled maps themselves into periodic factors and odometer steps, and moves
-the steps to the right by rotating the step tables of the factors.
+One loop, ``_peel``, splits a positive element into runs of equal
+odometer return maps.  ``factor_positive`` writes each run's support once
+per peel; ``normal_form`` turns each run's map into one periodic piece and
+odometer steps, and moves the steps right by rotating the pieces' tables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple, Union
 
 from .clopen import ClopenSet, pack
 from .element import TRIVIAL, FullGroupElement
-from .errors import NotAlmostPositiveError, NotPeriodicError, NotPositiveError
+from .errors import InvariantError, NotAlmostPositiveError, NotPeriodicError, NotPositiveError
 from .induced import induce
 
 # -- certificate ------------------------------------------------------------
@@ -165,25 +165,46 @@ def positivize(u: FullGroupElement) -> Positivized:
 # -- positive elements as products of return maps ------------------------------
 
 
-def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement]]:
-    """Support and odometer return map of each peel of a positive element.
+def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement, int]]:
+    """Runs ``(support, return map, count)`` of the peels of a positive element.
 
-    Peeling off the return map to the current support keeps the remainder
-    positive and lowers the index by exactly one (every nonempty clopen
-    set meets the single odometer cycle), so ``u`` is the product of the
-    return maps in reverse peel order and there are index many of them.
+    A peel removes the odometer return map ``R`` to the remainder's
+    support: the remainder stays positive and its index drops by one
+    (every nonempty clopen set meets the one odometer cycle), so ``u`` is
+    the product of the index many return maps in reverse peel order.  A
+    run is a maximal stretch of peels with one support and one ``R``.
+
+    Full support: if the table ``n`` is nowhere zero, ``R = T`` and a peel
+    leaves ``n(s - 1) - 1``, so ``k`` peels leave ``n(s - k) - k``, nowhere
+    zero exactly while ``k < min n``: the run has ``count = min n`` and is
+    one composition with ``T^-count``.
+
+    Nesting: ``R`` and the remainder fix every point off the support, so
+    the next remainder does too.  Run supports are thus strictly nested
+    unions of depth-``d`` cylinders (no factor is deeper than ``u``), at
+    most ``2**d`` of them.  Nesting, counts summing to the index and an
+    identity final remainder are checked (``InvariantError``).
     """
-    peels = []
-    remainder = u
-    for _ in range(u.index()):
+    odometer, index = FullGroupElement.odometer(), u.index()
+    runs, remainder, peeled = [], u, 0
+    while peeled < index and not remainder.is_identity:
         support = remainder.support()
-        return_map = induce(FullGroupElement.odometer(), support).element
-        remainder = remainder * return_map.inverse()
-        peels.append((support, return_map))
-        if remainder.is_identity:
-            break
-    assert remainder.is_identity, "index many peels must exhaust a positive element"
-    return peels
+        if runs and (support == runs[-1][0] or not (support - runs[-1][0]).is_empty):
+            raise InvariantError(f"peel support {support!r} is not inside {runs[-1][0]!r}")
+        count = min(remainder.cocycle)
+        if count > 0:
+            return_map = odometer
+            remainder = remainder * FullGroupElement.odometer(-count)
+        else:
+            return_map, count = induce(odometer, support).element, 0
+            inverse = return_map.inverse()
+            while remainder.support() == support and peeled + count < index:
+                remainder, count = remainder * inverse, count + 1
+        runs.append((support, return_map, count))
+        peeled += count
+    if peeled != index or not remainder.is_identity:
+        raise InvariantError(f"{peeled} peels of an index-{index} element leave {remainder!r}")
+    return runs
 
 
 def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
@@ -194,7 +215,7 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
     """
     if any(n < 0 for n in u.cocycle):
         raise NotPositiveError("element has a negative step value")
-    return _certified(u, (InducedFactor(support) for support, _ in reversed(_peel(u))))
+    return _certified(u, (InducedFactor(s) for s, _, k in reversed(_peel(u)) for _ in range(k)))
 
 
 # -- normal form ---------------------------------------------------------------
@@ -218,33 +239,35 @@ def normal_form(u: FullGroupElement) -> FactorizationCertificate:
 
     Pipeline: split by cycle displacement sign; straighten the positive
     part (and the inverse of the negative part) into a periodic correction
-    times a positive element, and peel that element into return maps
-    ``R``.  The input is then a product of periodic pieces and odometer
-    steps: ``R = (R T^-1) T`` on the positive side and
-    ``R^-1 = (R^-1 T) T^-1`` on the negative side.  One pass moves every
-    step to the right, conjugating each periodic piece past the steps
-    before it, and the trailing power equals the index of ``u``.
+    times a positive element, and peel that element into runs of return
+    maps ``R``.  The input is then a product of periodic pieces and
+    odometer steps: ``R = (R T^-1) T`` on the positive side and
+    ``R^-1 = (R^-1 T) T^-1`` on the negative side, one piece per run.  One
+    pass moves every step to the right, conjugating each periodic piece
+    past the steps before it, and the trailing power equals the index of
+    ``u``.  A full-support run has ``R = T``, an identity piece, and only
+    advances the power; any other run writes its piece once per peel.
     """
     parts = decompose_pnp(u)
     forward, back = FullGroupElement.odometer(), FullGroupElement.odometer(-1)
-    pieces = [(parts.periodic, 0)]
+    pieces = [(parts.periodic, 0, 1)]
 
     if not parts.almost_positive.is_identity:
         straightened = positivize(parts.almost_positive)
-        pieces.append((straightened.left_periodic, 0))
-        pieces += [(r * back, 1) for _, r in reversed(_peel(straightened.induced))]
+        pieces.append((straightened.left_periodic, 0, 1))
+        pieces += [(r * back, 1, k) for _, r, k in reversed(_peel(straightened.induced))]
 
     if not parts.almost_negative.is_identity:
         straightened = positivize(parts.almost_negative.inverse())
-        pieces += [(r.inverse() * forward, -1) for _, r in _peel(straightened.induced)]
-        pieces.append((straightened.left_periodic.inverse(), 0))
+        pieces += [(r.inverse() * forward, -1, k) for _, r, k in _peel(straightened.induced)]
+        pieces.append((straightened.left_periodic.inverse(), 0, 1))
 
     word = []
     power = 0
-    for piece, step in pieces:
+    for piece, step, count in pieces:
         if not piece.is_identity:
-            word.append(PeriodicFactor(_rotated(piece, power)))
-        power += step
+            word += [PeriodicFactor(_rotated(piece, power + step * j)) for j in range(count)]
+        power += step * count
     word.append(OdometerPowerFactor(power))
     return _certified(u, word)
 

@@ -19,7 +19,7 @@ from odofull import (
     positivize,
     random_element,
 )
-from odofull.factor import _rotated
+from odofull.factor import _peel, _rotated
 from odofull.verify import random_periodic_element
 
 E = FullGroupElement
@@ -196,6 +196,62 @@ def test_factor_positive_on_products_of_return_maps():
             u = u * induce(T, ClopenSet(depth, bits)).element
         cert = factor_positive(u)
         assert cert.verified and len(cert.word) == u.index()
+
+
+# -- peel runs -------------------------------------------------------------------------
+
+
+def peel_one_at_a_time(u):
+    """Oracle: one support, return map and inverse per peel, index many peels."""
+    peels, remainder = [], u
+    for _ in range(u.index()):
+        support = remainder.support()
+        return_map = induce(T, support).element
+        remainder = remainder * return_map.inverse()
+        peels.append((support, return_map))
+    assert remainder.is_identity
+    return peels
+
+
+def random_positive(rng, depth, wraps):
+    size = 1 << depth
+    table = random_element(depth, 0, rng=rng).cocycle_at_depth(depth)
+    return E(depth, [n + size * rng.randint(0, wraps) for n in table])
+
+
+def peel_run_cases():
+    rng = random.Random(359)
+    for _ in range(300):
+        yield random_positive(rng, rng.randint(0, 6), rng.randint(0, 20))
+    for depth, k in enumerate((1, 10, 100, 999, 1000, 4096, 10**4)):
+        u = T**k * random_periodic_element(rng, depth)
+        yield positivize(decompose_pnp(u).almost_positive).induced
+
+
+def test_peel_runs_expand_to_the_one_peel_oracle():
+    cases = 0
+    for u in peel_run_cases():
+        runs = _peel(u)
+        assert [(s, r) for s, r, count in runs for _ in range(count)] == peel_one_at_a_time(u)
+        assert sum(count for _, _, count in runs) == u.index()
+        assert all(count > 0 for _, _, count in runs)
+        for (outer, _, _), (inner, _, _) in zip(runs, runs[1:]):
+            assert inner != outer and (inner - outer).is_empty
+        assert len(runs) <= 1 << u.depth
+        cases += 1
+    assert cases >= 300
+
+
+def test_full_support_run_is_one_rotation():
+    # k peels of T leave n(s - k) - k; min n = 5 of them have full support
+    u = E(2, [5, 9, 13, 5])
+    runs = _peel(u)
+    assert runs[0] == (ClopenSet.full(), T, 5)
+    assert u * T**-5 == E(2, [0, 0, 4, 8])
+    assert [(s, count) for s, _, count in runs[1:]] == [
+        (ClopenSet.from_prefixes(2, {2, 3}), 2),
+        (ClopenSet.from_prefixes(2, {3}), 1),
+    ]
 
 
 # -- normal form -----------------------------------------------------------------------

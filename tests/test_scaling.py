@@ -18,9 +18,11 @@ from odofull import (
     escape_time,
     factor_periodic_into_involutions,
     induce,
+    normal_form,
     positivize,
     random_element,
 )
+from odofull.verify import random_periodic_element
 
 LOW, HIGH = 12, 16
 REPEATS = 5
@@ -73,3 +75,21 @@ def test_operation_is_linear_in_table_size(name):
     make = OPERATIONS[name]
     ratio = seconds_per_call(make, HIGH) / seconds_per_call(make, LOW)
     assert ratio < BOUND, f"{name}: depth {LOW} -> {HIGH} costs {ratio:.1f}x"
+
+
+def test_normal_form_cost_is_flat_in_the_index():
+    """``normal_form(T^k q)`` costs the same at k = 10^3 and k = 10^6.
+
+    The full-support peels of ``T^k`` form one run built in closed form,
+    so the index adds no work; one peel per unit of index would make the
+    larger call about a thousand times slower.
+    """
+    q = random_periodic_element(random.Random(6), 6)
+    odometer = FullGroupElement.odometer()
+
+    def seconds(k):
+        u = odometer**k * q
+        return min(timeit.Timer(lambda: normal_form(u)).repeat(repeat=REPEATS, number=1))
+
+    ratio = seconds(10**6) / seconds(10**3)
+    assert ratio < 4, f"normal_form: k = 10^3 -> 10^6 costs {ratio:.1f}x"

@@ -1,11 +1,17 @@
 """The property-suite runner and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from odofull import run_verify
-from odofull.cli import main
+import odofull
+from odofull import ClopenSet, FullGroupElement, InvariantError, cli, factor, induced, run_verify, serialize
+from odofull.cli import build_parser, main
 from odofull.verify import RunReport
 
 ODOMETER = '{"system":"dyadic_odometer","depth":0,"cocycle":[1]}'
@@ -13,6 +19,8 @@ SWAP = '{"system":"dyadic_odometer","depth":1,"cocycle":[1,-1]}'
 RETURN_HALF = '{"system":"dyadic_odometer","depth":1,"cocycle":[2,0]}'
 BAD = '{"system":"dyadic_odometer","depth":2,"cocycle":[2,0,-1,1]}'
 HALF_SET = '{"depth":1,"prefixes":[0]}'
+# One full-support peel of T, then one peel of the return map to prefix 1.
+TWO_RUNS = '{"system":"dyadic_odometer","depth":1,"cocycle":[3,1]}'
 
 
 def test_run_verify_deterministic():
@@ -165,3 +173,52 @@ def test_report_exit_status_tracks_failures():
     assert clean.exit_status == 0
     dirty = RunReport("demo", 3, failures=[{"check": "x"}])
     assert dirty.exit_status == 1
+
+
+def test_cli_normal_form_of_a_huge_odometer_power(capsys):
+    start = time.perf_counter()
+    code = main(["normal-form", '{"system":"dyadic_odometer","depth":0,"cocycle":[1000000000]}', "--format", "json"])
+    assert code == 0 and time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["word"] == [{"kind": "power_of_T", "power": 1000000000}]
+
+
+def test_cli_parser_is_cached_and_resolves_names_per_call(monkeypatch, capsys):
+    assert main(["normal-form", RETURN_HALF, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert build_parser() is build_parser()
+    monkeypatch.setattr(serialize, "certificate_to_obj", lambda cert: {"patched": len(cert.word)})
+    assert main(["normal-form", RETURN_HALF, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"patched": 2}
+    monkeypatch.setattr(cli, "normal_form", factor.factor_positive)
+    assert main(["normal-form", RETURN_HALF, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"patched": 1}
+
+
+def test_cli_invariant_failure_exits_three(monkeypatch, capsys):
+    # A return map to the whole space, whatever set is asked for.
+    monkeypatch.setattr(factor, "induce", lambda u, subset: induced.induce(u, ClopenSet.full()))
+    assert main(["normal-form", TWO_RUNS, "--format", "json"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_invariant_checks_survive_optimized_mode():
+    script = (
+        "import sys\n"
+        "from odofull import ClopenSet, factor, induced\n"
+        "from odofull.cli import main\n"
+        "factor.induce = lambda u, subset: induced.induce(u, ClopenSet.full())\n"
+        f"sys.exit(main(['normal-form', {TWO_RUNS!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(odofull.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("internal error: ")
+
+
+def test_index_of_a_corrupt_table_raises_invariant_error():
+    corrupt = object.__new__(FullGroupElement)
+    corrupt.depth, corrupt.cocycle = 1, (1, 0)
+    with pytest.raises(InvariantError):
+        corrupt.index()
