@@ -105,15 +105,15 @@ class FullGroupElement:
         return FullGroupElement(self.depth, table)
 
     def __pow__(self, power: int) -> "FullGroupElement":
+        if self.depth == 0:  # T^n, whose powers are T^(n * power)
+            return FullGroupElement.odometer(self.cocycle[0] * power)
         if power < 0:
-            return self.inverse() ** (-power)
-        result = FullGroupElement.identity()
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
+            return self.inverse() ** -power
+        result = self if power else FullGroupElement.identity()
+        for bit in bin(power)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

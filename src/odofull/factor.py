@@ -5,19 +5,20 @@ the input, or a :class:`FactorizationCertificate` whose word recomposes to
 the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
 
-One loop, ``_peel``, splits a positive element into runs of equal
-odometer return maps.  ``factor_positive`` writes each run's support once
-per peel; ``normal_form`` turns each run's map into one periodic piece and
-odometer steps, and moves the steps right by rotating the pieces' tables.
+One loop, ``_peel``, splits a positive element into runs of equal return
+maps, one composition per run.  ``factor_positive`` writes each run's
+support once per peel; ``normal_form`` turns each run's map into one
+periodic piece and odometer steps, and moves the steps right by rotating
+the pieces' tables.  A word holds at most ``2**depth_cap()`` factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import NamedTuple, Union
 
-from .clopen import ClopenSet, pack
+from .clopen import ClopenSet, check_word_length, pack
 from .element import TRIVIAL, FullGroupElement
 from .errors import InvariantError, NotAlmostPositiveError, NotPeriodicError, NotPositiveError
 from .induced import induce
@@ -65,8 +66,8 @@ class FactorizationCertificate:
 
     def compose_word(self) -> FullGroupElement:
         out = FullGroupElement.identity()
-        for factor in self.word:
-            out = out * factor.as_element()
+        for factor, run in groupby(self.word):
+            out = out * factor.as_element() ** sum(1 for _ in run)
         return out
 
 
@@ -168,42 +169,42 @@ def positivize(u: FullGroupElement) -> Positivized:
 def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement, int]]:
     """Runs ``(support, return map, count)`` of the peels of a positive element.
 
-    A peel removes the odometer return map ``R`` to the remainder's
+    A peel removes the odometer return map ``Q`` to the remainder's
     support: the remainder stays positive and its index drops by one
     (every nonempty clopen set meets the one odometer cycle), so ``u`` is
     the product of the index many return maps in reverse peel order.  A
-    run is a maximal stretch of peels with one support and one ``R``.
+    run is a maximal stretch of peels with one support and one ``Q``.
 
-    Full support: if the table ``n`` is nowhere zero, ``R = T`` and a peel
-    leaves ``n(s - 1) - 1``, so ``k`` peels leave ``n(s - k) - k``, nowhere
-    zero exactly while ``k < min n``: the run has ``count = min n`` and is
-    one composition with ``T^-count``.
+    Closed form: let the remainder ``R`` have table ``n`` at depth ``d``,
+    ``N = 2**d``, and support ``S`` of ``c`` cylinders, ``rank(s)`` of them
+    below ``s``.  The odometer meets ``S`` in ascending order, ``c`` per
+    ``N`` steps, so in returns to ``S``, ``Q`` steps one and ``R``, which
+    permutes ``S``, steps ``rho(s) = (s + n(s)) // N * c + rank((s + n(s))
+    % N) - rank(s) >= 1``.  Then ``k`` peels ``R Q^-k`` step
+    ``rho(Q^-k s) - k``, nowhere zero exactly while ``k < min rho``: a run
+    is ``min rho`` peels, one composition.  Full support: ``Q = T, rho = n``.
 
-    Nesting: ``R`` and the remainder fix every point off the support, so
+    Nesting: ``Q`` and the remainder fix every point off the support, so
     the next remainder does too.  Run supports are thus strictly nested
     unions of depth-``d`` cylinders (no factor is deeper than ``u``), at
-    most ``2**d`` of them.  Nesting, counts summing to the index and an
-    identity final remainder are checked (``InvariantError``).
+    most ``2**d`` of them; nesting and the count sum are checked.
     """
-    odometer, index = FullGroupElement.odometer(), u.index()
-    runs, remainder, peeled = [], u, 0
-    while peeled < index and not remainder.is_identity:
+    odometer, runs, remainder = FullGroupElement.odometer(), [], u
+    while not remainder.is_identity:
         support = remainder.support()
         if runs and (support == runs[-1][0] or not (support - runs[-1][0]).is_empty):
             raise InvariantError(f"peel support {support!r} is not inside {runs[-1][0]!r}")
-        count = min(remainder.cocycle)
-        if count > 0:
-            return_map = odometer
-            remainder = remainder * FullGroupElement.odometer(-count)
-        else:
-            return_map, count = induce(odometer, support).element, 0
-            inverse = return_map.inverse()
-            while remainder.support() == support and peeled + count < index:
-                remainder, count = remainder * inverse, count + 1
+        size, table = 1 << remainder.depth, remainder.cocycle
+        rank = list(accumulate(map(bool, table), initial=0))
+        c = rank[-1]
+        count = min(
+            (s + n) // size * c + rank[(s + n) % size] - rank[s] for s, n in enumerate(table) if n
+        )
+        return_map = induce(odometer, support).element
         runs.append((support, return_map, count))
-        peeled += count
-    if peeled != index or not remainder.is_identity:
-        raise InvariantError(f"{peeled} peels of an index-{index} element leave {remainder!r}")
+        remainder = remainder * return_map**-count
+    if sum(k for _, _, k in runs) != u.index():
+        raise InvariantError(f"peel counts sum to {sum(k for _, _, k in runs)}, not {u.index()}")
     return runs
 
 
@@ -215,7 +216,8 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
     """
     if any(n < 0 for n in u.cocycle):
         raise NotPositiveError("element has a negative step value")
-    return _certified(u, (InducedFactor(s) for s, _, k in reversed(_peel(u)) for _ in range(k)))
+    check_word_length(u.index())
+    return _certified(u, (f for s, _, k in reversed(_peel(u)) for f in [InducedFactor(s)] * k))
 
 
 # -- normal form ---------------------------------------------------------------
@@ -245,25 +247,19 @@ def normal_form(u: FullGroupElement) -> FactorizationCertificate:
     ``R^-1 = (R^-1 T) T^-1`` on the negative side, one piece per run.  One
     pass moves every step to the right, conjugating each periodic piece
     past the steps before it, and the trailing power equals the index of
-    ``u``.  A full-support run has ``R = T``, an identity piece, and only
-    advances the power; any other run writes its piece once per peel.
+    ``u``.  Identity pieces (of empty parts, and of full-support runs with
+    ``R = T``) only advance the power; others are written once per peel.
     """
     parts = decompose_pnp(u)
     forward, back = FullGroupElement.odometer(), FullGroupElement.odometer(-1)
-    pieces = [(parts.periodic, 0, 1)]
-
-    if not parts.almost_positive.is_identity:
-        straightened = positivize(parts.almost_positive)
-        pieces.append((straightened.left_periodic, 0, 1))
-        pieces += [(r * back, 1, k) for _, r, k in reversed(_peel(straightened.induced))]
-
-    if not parts.almost_negative.is_identity:
-        straightened = positivize(parts.almost_negative.inverse())
-        pieces += [(r.inverse() * forward, -1, k) for _, r, k in _peel(straightened.induced)]
-        pieces.append((straightened.left_periodic.inverse(), 0, 1))
-
-    word = []
-    power = 0
+    positive = positivize(parts.almost_positive)
+    negative = positivize(parts.almost_negative.inverse())
+    pieces = [(parts.periodic, 0, 1), (positive.left_periodic, 0, 1)]
+    pieces += [(r * back, 1, k) for _, r, k in reversed(_peel(positive.induced))]
+    pieces += [(r.inverse() * forward, -1, k) for _, r, k in _peel(negative.induced)]
+    pieces.append((negative.left_periodic.inverse(), 0, 1))
+    check_word_length(1 + sum(count for piece, _, count in pieces if not piece.is_identity))
+    word, power = [], 0
     for piece, step, count in pieces:
         if not piece.is_identity:
             word += [PeriodicFactor(_rotated(piece, power + step * j)) for j in range(count)]

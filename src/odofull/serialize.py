@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 
-from .clopen import ClopenSet
+from .clopen import ClopenSet, depth_cap
 from .dyadic import Dyadic
 from .element import FullGroupElement
 from .errors import ParseError
@@ -52,9 +52,12 @@ def dyadic_from_str(text) -> Dyadic:
     if not isinstance(text, str):
         raise ParseError(f"expected a 'p/2^k' string, got {text!r}")
     try:
-        return Dyadic.from_string(text)
+        value = Dyadic.from_string(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if value.exp2 > 3 * depth_cap():
+        raise ParseError(f"dyadic exponent {value.exp2} exceeds cap {3 * depth_cap()}")
+    return value
 
 
 # -- clopen sets --------------------------------------------------------------

@@ -77,6 +77,27 @@ def test_odometer_powers():
     assert T**-3 == E(0, [-3])
 
 
+def test_powers_compose_left_to_right_from_the_element(monkeypatch):
+    rng = random.Random(353)
+    u = random_element(4, 2, rng=rng)
+    calls = []
+    compose = E.__mul__
+    monkeypatch.setattr(E, "__mul__", lambda a, b: calls.append(1) or compose(a, b))
+    assert u**1 is u and not calls
+    for power, products in ((2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        calls.clear()
+        u**power
+        assert len(calls) == products, power
+    calls.clear()
+    assert T ** -(10**9) == E(0, [-(10**9)]) and not calls
+    monkeypatch.undo()
+    for u in [T, E(0, [-3])] + [random_element(rng.randint(1, 5), 2, rng=rng) for _ in range(5)]:
+        product = IDENTITY
+        for k in range(41):
+            assert u**k == product and u**-k == product.inverse()
+            product = product * u
+
+
 def test_compose_cocycle_identity_example():
     # swap composed with one odometer step, evaluated by hand
     assert E(1, [1, -1]) * T == E(1, [0, 2])

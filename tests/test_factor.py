@@ -19,6 +19,7 @@ from odofull import (
     positivize,
     random_element,
 )
+from odofull import factor
 from odofull.factor import _peel, _rotated
 from odofull.verify import random_periodic_element
 
@@ -219,6 +220,16 @@ def random_positive(rng, depth, wraps):
     return E(depth, [n + size * rng.randint(0, wraps) for n in table])
 
 
+def random_partial_positive(rng, depth, wraps):
+    """Positive element moving a random set of prefixes, up to ``wraps >= 1`` laps each."""
+    size = 1 << depth
+    support = rng.sample(range(size), rng.randint(1, size))
+    table = [0] * size
+    for s, t in zip(support, rng.sample(support, len(support))):
+        table[s] = (t - s) % size + size * rng.randint(t == s, wraps)
+    return E(depth, table)
+
+
 def peel_run_cases():
     rng = random.Random(359)
     for _ in range(300):
@@ -226,6 +237,11 @@ def peel_run_cases():
     for depth, k in enumerate((1, 10, 100, 999, 1000, 4096, 10**4)):
         u = T**k * random_periodic_element(rng, depth)
         yield positivize(decompose_pnp(u).almost_positive).induced
+    # one peel of T, then a partial run of k - 1 peels of the return map to prefix 1
+    for k in (1, 2, 3, 10, 1000, 10**4):
+        yield E(1, [2 * k - 1, 1])
+    for _ in range(40):
+        yield random_partial_positive(rng, rng.randint(1, 4), rng.randint(1, 200))
 
 
 def test_peel_runs_expand_to_the_one_peel_oracle():
@@ -239,7 +255,7 @@ def test_peel_runs_expand_to_the_one_peel_oracle():
             assert inner != outer and (inner - outer).is_empty
         assert len(runs) <= 1 << u.depth
         cases += 1
-    assert cases >= 300
+    assert cases >= 350
 
 
 def test_full_support_run_is_one_rotation():
@@ -252,6 +268,22 @@ def test_full_support_run_is_one_rotation():
         (ClopenSet.from_prefixes(2, {2, 3}), 2),
         (ClopenSet.from_prefixes(2, {3}), 1),
     ]
+
+
+def test_partial_run_is_one_composition():
+    # [2k - 1, 1]: T once, then k - 1 peels of the return map [0, 2] to prefix 1
+    k = 10**9
+    runs = _peel(E(1, [2 * k - 1, 1]))
+    assert runs == [(ClopenSet.full(), T, 1), (ClopenSet.from_prefixes(1, {1}), E(1, [0, 2]), k - 1)]
+
+
+def test_compose_word_builds_each_run_of_equal_factors_once(monkeypatch):
+    cert = factor_positive(E(1, [3, 1]) * T**40)
+    assert cert.verified and len(cert.word) == 42
+    calls = []
+    monkeypatch.setattr(factor, "induce", lambda u, subset: calls.append(subset) or induce(u, subset))
+    assert cert.compose_word() == cert.target
+    assert calls == [ClopenSet.from_prefixes(1, {1}), ClopenSet.full()]
 
 
 # -- normal form -----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from odofull import (
     positivize,
     random_element,
 )
+from odofull.factor import _peel
 from odofull.verify import random_periodic_element
 
 LOW, HIGH = 12, 16
@@ -93,3 +94,19 @@ def test_normal_form_cost_is_flat_in_the_index():
 
     ratio = seconds(10**6) / seconds(10**3)
     assert ratio < 4, f"normal_form: k = 10^3 -> 10^6 costs {ratio:.1f}x"
+
+
+def test_peel_cost_is_flat_in_a_partial_run():
+    """``_peel([2k - 1, 1])`` costs the same at k = 10^3 and k = 10^6.
+
+    After one peel of ``T`` the remainder is ``k - 1`` peels of the return
+    map to prefix 1, one run on a partial support; one composition per
+    peel would make the larger call about a thousand times slower.
+    """
+
+    def seconds(k):
+        u = FullGroupElement(1, [2 * k - 1, 1])
+        return min(timeit.Timer(lambda: _peel(u)).repeat(repeat=REPEATS, number=20))
+
+    ratio = seconds(10**6) / seconds(10**3)
+    assert ratio < 4, f"_peel: k = 10^3 -> 10^6 costs {ratio:.1f}x"

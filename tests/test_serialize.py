@@ -31,6 +31,18 @@ def test_dyadic_strings():
         serialize.dyadic_from_str(None)
 
 
+def test_dyadic_exponent_is_capped_at_parse(monkeypatch):
+    monkeypatch.delenv("ERGO_DEPTH_CAP", raising=False)
+    assert serialize.dyadic_from_str("1/2^72") == Dyadic(1, 72)
+    assert serialize.dyadic_from_str("2/2^73") == Dyadic(1, 72)
+    with pytest.raises(ParseError, match="exponent 73 exceeds cap 72"):
+        serialize.dyadic_from_str("1/2^73")
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "3")
+    assert serialize.dyadic_from_str("1/2^9") == Dyadic(1, 9)
+    with pytest.raises(ParseError):
+        serialize.dyadic_from_str("1/2^10")
+
+
 def test_clopen_round_trip():
     subset = ClopenSet.from_prefixes(3, {1, 4, 6})
     obj = serialize.clopen_to_obj(subset)

@@ -168,6 +168,53 @@ def test_cli_counterexample_rows_obey_depth_cap(monkeypatch, capsys):
     assert main(["counterexample", "--max-n", "3"]) == 0
 
 
+def odometer_json(*cocycle):
+    depth = len(cocycle).bit_length() - 1
+    return json.dumps({"system": "dyadic_odometer", "depth": depth, "cocycle": list(cocycle)})
+
+
+def test_cli_word_length_obeys_depth_cap(monkeypatch, capsys):
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "3")
+    assert main(["factor-positive", odometer_json(8), "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["word"]) == 8
+    assert main(["factor-positive", odometer_json(9)]) == 2
+    assert "word of 9 factors exceeds cap 2**3" in capsys.readouterr().err
+    # one peel of T, then k - 1 periodic factors, then the odometer power
+    assert main(["normal-form", odometer_json(15, 1), "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["word"]) == 8
+    assert main(["normal-form", odometer_json(17, 1)]) == 2
+    assert "word of 9 factors exceeds cap 2**3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["normal-form", odometer_json(1999999999, 1)], 2),
+        (["factor-positive", odometer_json(1000000000)], 2),
+        (["normal-form", odometer_json(1000000000), "--format", "json"], 0),
+    ],
+)
+def test_cli_huge_index_returns_at_once(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(odofull.__file__).parents[1])}
+    env.pop("ERGO_DEPTH_CAP", None)
+    start = time.perf_counter()
+    command = [sys.executable, "-m", "odofull.cli", *argv]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["word"] == [{"kind": "power_of_T", "power": 10**9}]
+
+
+def test_cli_huge_dyadic_exponent_is_a_parse_error(monkeypatch, capsys):
+    monkeypatch.delenv("ERGO_DEPTH_CAP", raising=False)
+    tower = {"height": 1, "base_measure": "1/2^100000000000", "shifts": [0]}
+    start = time.perf_counter()
+    assert main(["index", json.dumps({"system": "skyscraper", "towers": [tower]})]) == 2
+    assert time.perf_counter() - start < 1
+    assert "dyadic exponent 100000000000 exceeds cap 72" in capsys.readouterr().err
+
+
 def test_report_exit_status_tracks_failures():
     clean = RunReport("demo", 3)
     assert clean.exit_status == 0
