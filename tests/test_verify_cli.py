@@ -6,11 +6,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import odofull
-from odofull import ClopenSet, FullGroupElement, InvariantError, cli, factor, induced, run_verify, serialize
+from odofull import (
+    ClopenSet, Dyadic, FullGroupElement, InvariantError, cli, element, factor, induced, run_verify,
+    serialize, verify,
+)
 from odofull.cli import build_parser, main
 from odofull.verify import RunReport
 
@@ -34,7 +38,54 @@ def test_run_verify_all_quick_clean():
     report = run_verify("all", seed=3, scale="quick")
     assert report.exit_status == 0
     assert report.failures == []
-    assert report.cases > 10_000
+    assert report.cases == 23186
+
+
+def _broken_kac(monkeypatch):
+    def kac_check(subset):
+        return Dyadic(2) if subset.depth == 0 else induced.kac_check(subset)
+
+    monkeypatch.setattr(verify, "kac_check", kac_check)
+
+
+def _broken_escape(monkeypatch):
+    monkeypatch.setattr(verify, "escape_time", lambda s: SimpleNamespace(times={}))
+
+
+def _broken_uniform_distance(monkeypatch):
+    def distance(u, v, p=1):
+        value = element.distance(u, v, p)
+        return value + 1 if p == "uniform" and u.depth == 0 else value
+
+    monkeypatch.setattr(verify, "distance", distance)
+
+
+@pytest.mark.parametrize(
+    "breakage, suite, seed, cases, failures, checks",
+    [
+        (_broken_kac, "kac", 0, 2274, 4, {"kac_exhaustive"}),
+        (_broken_escape, "escape", 2, 297, 287, {"escape_oracle"}),
+        (_broken_uniform_distance, "group", 0, 12_000, 130, {"uniform_below_l1"}),
+    ],
+)
+def test_run_verify_records_failing_checks(
+    monkeypatch, breakage, suite, seed, cases, failures, checks
+):
+    breakage(monkeypatch)
+    report = run_verify(suite, seed=seed, scale="quick")
+    assert (report.cases, len(report.failures), report.exit_status) == (cases, failures, 1)
+    assert {f["check"] for f in report.failures} == checks
+    first = report.failures[0]
+    if suite == "kac":
+        full = {"depth": 0, "prefixes": [0]}
+        assert report.failures == [{"check": "kac_exhaustive", "set": full}] * 4
+    elif suite == "escape":
+        assert all(list(f) == ["check", "set"] for f in report.failures)
+        assert serialize.clopen_from_obj(first["set"]).bits
+    else:
+        assert list(first) == ["check", "case", "u", "v", "w"] and first["case"] == 27
+        assert serialize.element_from_obj(first["u"]).depth == 0
+        assert serialize.element_to_obj(serialize.element_from_obj(first["v"])) == first["v"]
 
 
 def test_run_verify_rejects_unknown():
