@@ -78,9 +78,13 @@ class ClopenSet:
     """A finite union of cylinder sets, canonical at minimal depth.
 
     ``bits`` has bit ``s`` set exactly when the depth-``depth`` cylinder
-    with prefix ``s`` belongs to the set.  The constructor reduces to the
-    least depth at which the set is a union of cylinders, so equal sets
-    always compare equal regardless of how they were built.
+    with prefix ``s`` belongs to the set.  Masks from a caller enter
+    through the constructor, which checks the depth cap and the mask's
+    range.  Masks that operations build from valid operands, at a depth no
+    deeper than theirs, enter through :meth:`_trusted` and skip both
+    checks.  Either way the set is reduced to the least depth at which it
+    is a union of cylinders, so equal sets always compare equal regardless
+    of how they were built.
     """
 
     __slots__ = ("depth", "bits")
@@ -89,6 +93,21 @@ class ClopenSet:
         check_depth(depth)
         if bits < 0 or bits >> (1 << depth):
             raise ValueError("bit table does not fit the given depth")
+        self._reduce(depth, bits)
+
+    @classmethod
+    def _trusted(cls, depth: int, bits: int) -> "ClopenSet":
+        """Set of a mask that needs no check, reduced to minimal depth.
+
+        The caller guarantees that ``bits`` is a nonnegative mask of at
+        most ``2**depth`` bits and that ``depth`` is within the cap: an
+        operand's checked depth or one the caller has checked itself.
+        """
+        self = object.__new__(cls)
+        self._reduce(depth, bits)
+        return self
+
+    def _reduce(self, depth: int, bits: int) -> None:
         while depth > 0:
             half = 1 << (depth - 1)
             low = bits & ((1 << half) - 1)
@@ -109,15 +128,15 @@ class ClopenSet:
             if not 0 <= s < size:
                 raise ValueError(f"prefix {s} out of range at depth {depth}")
             flags[s] = 1
-        return cls(depth, pack(flags))
+        return cls._trusted(depth, pack(flags))
 
     @classmethod
     def empty(cls) -> "ClopenSet":
-        return cls(0, 0)
+        return cls._trusted(0, 0)
 
     @classmethod
     def full(cls) -> "ClopenSet":
-        return cls(0, 1)
+        return cls._trusted(0, 1)
 
     # -- basic queries ----------------------------------------------------
 
@@ -151,6 +170,10 @@ class ClopenSet:
         if depth < self.depth:
             raise ValueError("cannot coarsen below the canonical depth")
         check_depth(depth)
+        return self._bits_at(depth)
+
+    def _bits_at(self, depth: int) -> int:
+        """:meth:`bits_at_depth` for an operand's checked ``depth >= self.depth``."""
         bits = self.bits
         size = 1 << self.depth
         for _ in range(depth - self.depth):
@@ -166,23 +189,23 @@ class ClopenSet:
 
     def _common(self, other: "ClopenSet") -> tuple[int, int, int]:
         depth = max(self.depth, other.depth)
-        return depth, self.bits_at_depth(depth), other.bits_at_depth(depth)
+        return depth, self._bits_at(depth), other._bits_at(depth)
 
     def __or__(self, other: "ClopenSet") -> "ClopenSet":
         depth, a, b = self._common(other)
-        return ClopenSet(depth, a | b)
+        return ClopenSet._trusted(depth, a | b)
 
     def __and__(self, other: "ClopenSet") -> "ClopenSet":
         depth, a, b = self._common(other)
-        return ClopenSet(depth, a & b)
+        return ClopenSet._trusted(depth, a & b)
 
     def __sub__(self, other: "ClopenSet") -> "ClopenSet":
         depth, a, b = self._common(other)
-        return ClopenSet(depth, a & ~b)
+        return ClopenSet._trusted(depth, a & ~b)
 
     def __invert__(self) -> "ClopenSet":
         full = (1 << (1 << self.depth)) - 1
-        return ClopenSet(self.depth, self.bits ^ full)
+        return ClopenSet._trusted(self.depth, self.bits ^ full)
 
     def __eq__(self, other):
         if not isinstance(other, ClopenSet):
@@ -210,5 +233,5 @@ class ClopenSet:
             return self
         full = (1 << size) - 1
         bits = ((self.bits << k) | (self.bits >> (size - k))) & full
-        return ClopenSet(self.depth, bits)
+        return ClopenSet._trusted(self.depth, bits)
 

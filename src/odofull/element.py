@@ -33,9 +33,13 @@ NEGATIVE = "negative"
 class FullGroupElement:
     """A full-group element given by its step table at some depth.
 
-    The constructor validates bijectivity and reduces the table to minimal
-    depth, so any two constructions of the same transformation compare
-    equal.  Values are immutable; all operations return new elements.
+    Tables from a caller enter through the constructor, which checks the
+    depth cap and bijectivity.  Tables that operations build from valid
+    operands, at a depth no deeper than theirs, enter through
+    :meth:`_trusted` and skip both checks.  Either way the table is reduced
+    to minimal depth, so any two constructions of the same transformation
+    compare equal.  Values are immutable; all operations return new
+    elements.
     """
 
     __slots__ = ("depth", "cocycle")
@@ -47,6 +51,21 @@ class FullGroupElement:
         if len(table) != size:
             raise ValueError(f"table length {len(table)} != 2**{depth}")
         _check_bijective(depth, table)
+        self._reduce(depth, table)
+
+    @classmethod
+    def _trusted(cls, depth: int, table) -> "FullGroupElement":
+        """Element of a table that needs no check, reduced to minimal depth.
+
+        The caller guarantees that ``table`` is a bijective depth-``depth``
+        table of ``int`` entries and that ``depth`` is within the cap: an
+        operand's checked depth or one the caller has checked itself.
+        """
+        self = object.__new__(cls)
+        self._reduce(depth, tuple(table))
+        return self
+
+    def _reduce(self, depth: int, table: tuple) -> None:
         while depth > 0:
             half = 1 << (depth - 1)
             if table[:half] != table[half:]:
@@ -58,12 +77,13 @@ class FullGroupElement:
 
     @classmethod
     def identity(cls) -> "FullGroupElement":
-        return cls(0, (0,))
+        return cls._trusted(0, (0,))
 
     @classmethod
     def odometer(cls, power: int = 1) -> "FullGroupElement":
         """The odometer itself (or the given power of it)."""
-        return cls(0, (power,))
+        _check_bijective(0, (power,))  # any integer power; rejects the rest
+        return cls._trusted(0, (power,))
 
     # -- refinement --------------------------------------------------------
 
@@ -77,6 +97,10 @@ class FullGroupElement:
         if depth < self.depth:
             raise ValueError("cannot coarsen below the canonical depth")
         check_depth(depth)
+        return self._cocycle_at(depth)
+
+    def _cocycle_at(self, depth: int) -> tuple[int, ...]:
+        """:meth:`cocycle_at_depth` for an operand's checked ``depth >= self.depth``."""
         return self.cocycle * (1 << (depth - self.depth))
 
     # -- group structure -----------------------------------------------------
@@ -92,17 +116,17 @@ class FullGroupElement:
             return NotImplemented
         depth = max(self.depth, other.depth)
         size = 1 << depth
-        outer = self.cocycle_at_depth(depth)
-        inner = other.cocycle_at_depth(depth)
+        outer = self._cocycle_at(depth)
+        inner = other._cocycle_at(depth)
         table = [n + outer[(s + n) % size] for s, n in enumerate(inner)]
-        return FullGroupElement(depth, table)
+        return FullGroupElement._trusted(depth, table)
 
     def inverse(self) -> "FullGroupElement":
         size = 1 << self.depth
         table = [0] * size
         for s, n in enumerate(self.cocycle):
             table[(s + n) % size] = -n
-        return FullGroupElement(self.depth, table)
+        return FullGroupElement._trusted(self.depth, table)
 
     def __pow__(self, power: int) -> "FullGroupElement":
         if self.depth == 0:  # T^n, whose powers are T^(n * power)
@@ -151,17 +175,17 @@ class FullGroupElement:
         Aperiodicity of the odometer means a nonzero step moves every point
         of its cylinder.
         """
-        return ClopenSet(self.depth, pack(map(bool, self.cocycle)))
+        return ClopenSet._trusted(self.depth, pack(map(bool, self.cocycle)))
 
     def image_of(self, subset: ClopenSet) -> ClopenSet:
         """Image of a clopen set under the element."""
         depth = max(self.depth, subset.depth)
         size = 1 << depth
-        steps = self.cocycle_at_depth(depth)
+        steps = self._cocycle_at(depth)
         image = bytearray(size)
-        for s in compress(range(size), unpack(subset.bits_at_depth(depth), size)):
+        for s in compress(range(size), unpack(subset._bits_at(depth), size)):
             image[(s + steps[s]) % size] = 1
-        return ClopenSet(depth, pack(image))
+        return ClopenSet._trusted(depth, pack(image))
 
     def orbit_decomposition(self) -> "OrbitDecomposition":
         """Cycle structure of the prefix permutation, with displacements."""
@@ -215,7 +239,7 @@ def _check_bijective(depth: int, table) -> None:
     size = 1 << depth
     hit_by = [-1] * size
     for s, n in enumerate(table):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("cocycle entries must be integers")
         target = (s + n) % size
         if hit_by[target] >= 0:
@@ -260,8 +284,8 @@ def distance(u: FullGroupElement, v: FullGroupElement, p=1) -> Dyadic:
     dyadic.
     """
     depth = max(u.depth, v.depth)
-    a = u.cocycle_at_depth(depth)
-    b = v.cocycle_at_depth(depth)
+    a = u._cocycle_at(depth)
+    b = v._cocycle_at(depth)
     if p == "uniform":
         total = sum(1 for x, y in zip(a, b) if x != y)
     elif p == 1:
@@ -299,4 +323,4 @@ def random_element(
     if wrap_bound:
         wraps = rng.choices(range(-wrap_bound, wrap_bound + 1), k=size)
         table = [n + size * w for n, w in zip(table, wraps)]
-    return FullGroupElement(depth, table)
+    return FullGroupElement._trusted(depth, table)

@@ -102,9 +102,9 @@ def decompose_pnp(u: FullGroupElement) -> CycleClassParts:
         for s in cycle.prefixes:
             target[s] = u.cocycle[s]
     return CycleClassParts(
-        FullGroupElement(u.depth, tables[0]),
-        FullGroupElement(u.depth, tables[1]),
-        FullGroupElement(u.depth, tables[-1]),
+        FullGroupElement._trusted(u.depth, tables[0]),
+        FullGroupElement._trusted(u.depth, tables[1]),
+        FullGroupElement._trusted(u.depth, tables[-1]),
     )
 
 
@@ -157,7 +157,7 @@ def positivize(u: FullGroupElement) -> Positivized:
                 lowest = sums[i]
                 if i < length:
                     in_domain[cycle.prefixes[i]] = 1
-    domain = ClopenSet(u.depth, pack(in_domain))
+    domain = ClopenSet._trusted(u.depth, pack(in_domain))
     straightened = induce(u, domain).element
     inverse = straightened.inverse()
     return Positivized(domain, straightened, u * inverse, inverse * u)
@@ -233,7 +233,7 @@ def _rotated(q: FullGroupElement, power: int) -> FullGroupElement:
     if shift == 0:
         return q
     table = q.cocycle
-    return FullGroupElement(q.depth, table[-shift:] + table[:-shift])
+    return FullGroupElement._trusted(q.depth, table[-shift:] + table[:-shift])
 
 
 def normal_form(u: FullGroupElement) -> FactorizationCertificate:
@@ -294,5 +294,5 @@ def factor_periodic_into_involutions(u: FullGroupElement) -> FactorizationCertif
         for j, s in enumerate(cycle.prefixes):
             r1[s] = sums[-j % length] - sums[j]
             r2[s] = sums[(1 - j) % length] - sums[j]
-    word = [PeriodicFactor(FullGroupElement(u.depth, table)) for table in (r2, r1) if any(table)]
+    word = [PeriodicFactor(FullGroupElement._trusted(u.depth, t)) for t in (r2, r1) if any(t)]
     return _certified(u, word)

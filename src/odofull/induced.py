@@ -44,8 +44,8 @@ def induce(u: FullGroupElement, subset: ClopenSet) -> InducedResult:
         raise EmptySetError("cannot induce on the empty set")
     depth = max(u.depth, subset.depth)
     size = 1 << depth
-    steps = u.cocycle_at_depth(depth)
-    member = unpack(subset.bits_at_depth(depth), size)
+    steps = u._cocycle_at(depth)
+    member = unpack(subset._bits_at(depth), size)
 
     table = [0] * size
     return_times: dict[int, int] = {}
@@ -70,7 +70,7 @@ def induce(u: FullGroupElement, subset: ClopenSet) -> InducedResult:
     idle = steps.count(0) - list(compress(steps, member)).count(0)
     meets = missed == idle
 
-    return InducedResult(FullGroupElement(depth, table), depth, return_times, meets)
+    return InducedResult(FullGroupElement._trusted(depth, table), depth, return_times, meets)
 
 
 def kac_check(subset: ClopenSet) -> Dyadic:
@@ -99,7 +99,7 @@ def transposition(subset: ClopenSet) -> FullGroupElement:
         table[s] = 1
     for s in ahead.prefixes_at_depth(depth):
         table[s] = -1
-    return FullGroupElement(depth, table)
+    return FullGroupElement._trusted(depth, table)
 
 
 def oddpart(n: int) -> int:

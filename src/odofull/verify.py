@@ -88,7 +88,7 @@ def random_periodic_element(rng: random.Random, depth: int) -> FullGroupElement:
             a, b = rng.sample(cycle, 2)
             table[a] += size
             table[b] -= size
-    return FullGroupElement(depth, table)
+    return FullGroupElement._trusted(depth, table)
 
 
 # -- individual suites -----------------------------------------------------------

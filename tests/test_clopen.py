@@ -9,12 +9,14 @@ from odofull import (
     ClopenSet,
     DepthCapError,
     Dyadic,
+    FullGroupElement,
     induce,
     ncycle_support_test,
     random_element,
 )
 from odofull.clopen import DEPTH_CAP_ENV, pack, unpack
 from odofull.induced import oddpart
+from odofull.verify import random_clopen
 
 
 def setify(a: ClopenSet, depth: int) -> set:
@@ -137,6 +139,28 @@ def test_depth_cap_is_hard_error(monkeypatch):
     monkeypatch.delenv(DEPTH_CAP_ENV)
     with pytest.raises(DepthCapError):
         ClopenSet.from_prefixes(25, {0})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: FullGroupElement(6, [0] * 64),
+        lambda: ClopenSet(6, 1),
+        lambda: random_element(6),
+        lambda: random_clopen(random.Random(0), 6),
+        lambda: FullGroupElement(1, [1, -1]).cocycle_at_depth(6),
+        lambda: ClopenSet.from_prefixes(1, {0}).bits_at_depth(6),
+        lambda: ClopenSet.from_prefixes(1, {0}).prefixes_at_depth(6),
+    ],
+    ids=[
+        "element", "clopen", "random_element", "random_clopen",
+        "cocycle_at_depth", "bits_at_depth", "prefixes_at_depth",
+    ],
+)
+def test_depth_cap_holds_at_every_public_entry(monkeypatch, entry):
+    monkeypatch.setenv(DEPTH_CAP_ENV, "5")
+    with pytest.raises(DepthCapError, match="depth 6 exceeds cap 5"):
+        entry()
 
 
 def test_depth_cap_env_override_allows_more(monkeypatch):

@@ -56,6 +56,17 @@ def test_wrong_length_rejected():
         E(1, [1])
 
 
+def test_bool_entries_rejected_like_the_parser_does():
+    # True is an int, but the JSON it writes ("true") does not parse back
+    for table in ([True, True], [1, False]):
+        with pytest.raises(TypeError, match="integers"):
+            E(1, table)
+    with pytest.raises(TypeError, match="integers"):
+        E.odometer(True)
+    with pytest.raises(TypeError, match="integers"):
+        E.odometer(1.0)
+
+
 def test_canonical_depth_reduction():
     assert E(2, [1, 1, 1, 1]) == T
     assert E(2, [1, 1, 1, 1]).depth == 0

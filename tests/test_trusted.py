@@ -1,0 +1,98 @@
+"""Tables built from valid operands skip validation; the checking
+constructors must accept every one of them unchanged.
+
+Each construction below builds its result through the trusted path
+(``FullGroupElement._trusted`` / ``ClopenSet._trusted``).  Rebuilding the
+result through the public constructor reruns the depth cap, length,
+integer and bijectivity checks and the minimal-depth reduction, so
+equality shows the trusted table was valid and already canonical.
+"""
+
+import random
+
+import pytest
+
+from odofull import (
+    ClopenSet,
+    FullGroupElement,
+    decompose_pnp,
+    factor_periodic_into_involutions,
+    induce,
+    positivize,
+    random_element,
+    transposition,
+)
+from odofull.factor import _rotated
+from odofull.verify import random_clopen, random_periodic_element
+
+
+def _element(rng, depth):
+    return random_element(rng.randint(0, depth), rng.randint(0, 3), rng=rng)
+
+
+def _set(rng, depth):
+    return random_clopen(rng, rng.randint(0, depth), nonempty=rng.random() < 0.8)
+
+
+def _transposition(rng, depth):
+    # prefixes of one parity are disjoint from their odometer translates
+    if depth == 0:
+        return [transposition(ClopenSet.empty())]
+    parity = rng.randrange(2)
+    members = [s for s in range(1 << depth) if s % 2 == parity and rng.random() < 0.5]
+    return [transposition(ClopenSet.from_prefixes(depth, members))]
+
+
+def _positivized(rng, depth):
+    parts = decompose_pnp(_element(rng, depth))
+    return [
+        value
+        for almost_positive in (parts.almost_positive, parts.almost_negative.inverse())
+        for value in positivize(almost_positive)
+    ]
+
+
+CONSTRUCTIONS = {
+    "mul": lambda rng, d: [_element(rng, d) * _element(rng, d)],
+    "inverse": lambda rng, d: [_element(rng, d).inverse()],
+    "identity": lambda rng, d: [FullGroupElement.identity()],
+    "odometer": lambda rng, d: [FullGroupElement.odometer(rng.randint(-9, 9))],
+    "pow": lambda rng, d: [_element(rng, d) ** rng.randint(-5, 5)],
+    "support": lambda rng, d: [_element(rng, d).support()],
+    "image_of": lambda rng, d: [_element(rng, d).image_of(_set(rng, d))],
+    "random_element": lambda rng, d: [random_element(d, rng.randint(0, 3), rng=rng)],
+    "induce": lambda rng, d: [induce(_element(rng, d), random_clopen(rng, d)).element],
+    "transposition": _transposition,
+    "decompose_pnp": lambda rng, d: list(decompose_pnp(_element(rng, d))),
+    "rotated": lambda rng, d: [_rotated(random_periodic_element(rng, d), rng.randint(-9, 9))],
+    "involutions": lambda rng, d: [
+        f.element for f in factor_periodic_into_involutions(random_periodic_element(rng, d)).word
+    ],
+    "positivize": _positivized,
+    "random_periodic_element": lambda rng, d: [random_periodic_element(rng, d)],
+    "or": lambda rng, d: [_set(rng, d) | _set(rng, d)],
+    "and": lambda rng, d: [_set(rng, d) & _set(rng, d)],
+    "sub": lambda rng, d: [_set(rng, d) - _set(rng, d)],
+    "invert": lambda rng, d: [~_set(rng, d)],
+    "translate": lambda rng, d: [_set(rng, d).translate(rng.randint(-20, 20))],
+    "from_prefixes": lambda rng, d: [
+        ClopenSet.from_prefixes(d, [s for s in range(1 << d) if rng.random() < 0.5])
+    ],
+    "empty_and_full": lambda rng, d: [ClopenSet.empty(), ClopenSet.full()],
+}
+
+
+def _rebuilt(value):
+    if isinstance(value, FullGroupElement):
+        return FullGroupElement(value.depth, value.cocycle)
+    return ClopenSet(value.depth, value.bits)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_trusted_results_pass_the_public_check(name):
+    rng = random.Random(f"trusted:{name}")
+    build = CONSTRUCTIONS[name]
+    for depth in range(9):
+        for _ in range(20):
+            for value in build(rng, depth):
+                assert _rebuilt(value) == value, (name, depth, value)
