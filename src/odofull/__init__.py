@@ -31,7 +31,6 @@ from .errors import (
     OdofullError,
     OverlapError,
     ParseError,
-    SearchDepthError,
     SystemMismatchError,
 )
 from .escape import INFINITE, EscapeResult, EscapeRow, escape_time, escape_tower_family
@@ -96,7 +95,6 @@ __all__ = [
     "PeriodicFactor",
     "Positivized",
     "RunReport",
-    "SearchDepthError",
     "SystemMismatchError",
     "Tower",
     "TowerElement",

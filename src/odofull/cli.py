@@ -107,12 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command(
-        "ncycle", "search a tiling piece for a cycle support",
-        lambda a: ncycle_support_test(_clopen(a.set), a.n, a.max_extra_depth), "ncycle",
+        "ncycle", "a tiling piece for a cycle support, or none",
+        lambda a: ncycle_support_test(_clopen(a.set), a.n), "ncycle",
     )
     p.add_argument("--set", required=True)
     p.add_argument("--n", type=int, required=True, help="cycle order (>= 2)")
-    p.add_argument("--max-extra-depth", type=int, default=6)
 
     p = command(
         "escape", "escape times of a clopen set",

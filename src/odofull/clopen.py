@@ -161,19 +161,12 @@ class ClopenSet:
         size = 1 << self.depth
         return tuple(compress(range(size), unpack(self.bits, size)))
 
-    def bits_at_depth(self, depth: int) -> int:
-        """Membership bitmask refined to ``depth >= self.depth``.
+    def _bits_at(self, depth: int) -> int:
+        """Membership bitmask refined to an operand's checked ``depth >= self.depth``.
 
         Refining one level appends a free coordinate, which duplicates the
         mask into the upper half of the prefix range.
         """
-        if depth < self.depth:
-            raise ValueError("cannot coarsen below the canonical depth")
-        check_depth(depth)
-        return self._bits_at(depth)
-
-    def _bits_at(self, depth: int) -> int:
-        """:meth:`bits_at_depth` for an operand's checked ``depth >= self.depth``."""
         bits = self.bits
         size = 1 << self.depth
         for _ in range(depth - self.depth):
@@ -182,8 +175,12 @@ class ClopenSet:
         return bits
 
     def prefixes_at_depth(self, depth: int) -> tuple[int, ...]:
+        """Member prefixes refined to ``depth >= self.depth``, ascending."""
+        if depth < self.depth:
+            raise ValueError("cannot coarsen below the canonical depth")
+        check_depth(depth)
         size = 1 << depth
-        return tuple(compress(range(size), unpack(self.bits_at_depth(depth), size)))
+        return tuple(compress(range(size), unpack(self._bits_at(depth), size)))
 
     # -- boolean algebra ---------------------------------------------------
 

@@ -87,20 +87,13 @@ class FullGroupElement:
 
     # -- refinement --------------------------------------------------------
 
-    def cocycle_at_depth(self, depth: int) -> tuple[int, ...]:
-        """Step table refined to ``depth >= self.depth``.
+    def _cocycle_at(self, depth: int) -> tuple[int, ...]:
+        """Step table refined to an operand's checked ``depth >= self.depth``.
 
         A depth-``d+1`` prefix restricts to the depth-``d`` prefix
         ``s mod 2**d``, so refining one level concatenates the table with
         itself.
         """
-        if depth < self.depth:
-            raise ValueError("cannot coarsen below the canonical depth")
-        check_depth(depth)
-        return self._cocycle_at(depth)
-
-    def _cocycle_at(self, depth: int) -> tuple[int, ...]:
-        """:meth:`cocycle_at_depth` for an operand's checked ``depth >= self.depth``."""
         return self.cocycle * (1 << (depth - self.depth))
 
     # -- group structure -----------------------------------------------------
@@ -198,20 +191,20 @@ class FullGroupElement:
                 continue
             prefixes = []
             displacement = 0
-            moved = False
             s = start
             while not seen[s]:
                 seen[s] = True
                 prefixes.append(s)
                 n = table[s]
                 displacement += n
-                moved = moved or n != 0
                 s = (s + n) % size
+            # A 1-cycle of zero sum has step 0, and a longer cycle moves
+            # every prefix, so the length tells trivial from periodic.
             if displacement > 0:
                 kind = POSITIVE
             elif displacement < 0:
                 kind = NEGATIVE
-            elif moved:
+            elif len(prefixes) > 1:
                 kind = PERIODIC
             else:
                 kind = TRIVIAL
@@ -232,7 +225,7 @@ class FullGroupElement:
         cycles = self.orbit_decomposition().cycles
         if any(c.displacement != 0 for c in cycles):
             return None
-        return lcm(*(len(c.prefixes) for c in cycles if c.kind != TRIVIAL), 1)
+        return lcm(*(len(c.prefixes) for c in cycles))
 
 
 def _check_bijective(depth: int, table) -> None:

@@ -33,10 +33,6 @@ class NotPeriodicError(OdofullError):
     """The element has a cycle of nonzero displacement."""
 
 
-class SearchDepthError(OdofullError):
-    """A witness exists only deeper than the allowed extra depth."""
-
-
 class MassExceedsOneError(OdofullError):
     """The towers of a skyscraper system carry total mass above one."""
 

@@ -114,7 +114,7 @@ def escape_tower_family(m_max: int) -> tuple[EscapeRow, ...]:
     rows = []
     for m in range(1, m_max + 1):
         depth = 3 * m
-        levels = ClopenSet.from_prefixes(depth, range(4**m))
+        levels = ClopenSet._trusted(depth, (1 << 4**m) - 1)
         rows.append(
             EscapeRow(m, depth, levels.measure(), escape_time(levels).integral)
         )

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .clopen import ClopenSet, unpack
+from .clopen import ClopenSet, pack, unpack
 from .dyadic import Dyadic
 from .element import FullGroupElement
-from .errors import EmptySetError, OverlapError, SearchDepthError
+from .errors import EmptySetError, OverlapError
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +75,6 @@ def induce(u: FullGroupElement, subset: ClopenSet) -> InducedResult:
 
 def kac_check(subset: ClopenSet) -> Dyadic:
     """Integral of the odometer's return time to ``subset``; always one."""
-    if subset.is_empty:
-        raise EmptySetError("return times need a nonempty set")
     result = induce(FullGroupElement.odometer(), subset)
     return result.return_time_integral()
 
@@ -85,20 +83,15 @@ def transposition(subset: ClopenSet) -> FullGroupElement:
     """The involution swapping ``subset`` with its odometer translate.
 
     Steps are ``+1`` on the set, ``-1`` on its image, zero elsewhere; the
-    set must be disjoint from its translate.
+    set must be disjoint from its translate.  The empty set gives the
+    identity.
     """
-    if subset.is_empty:
-        return FullGroupElement.identity()
     depth = subset.depth
     size = 1 << depth
-    ahead = subset.translate(1)
-    if not (subset & ahead).is_empty:
+    ahead = subset.translate(1)._bits_at(depth)
+    if subset.bits & ahead:
         raise OverlapError("set meets its odometer translate")
-    table = [0] * size
-    for s in subset.prefixes():
-        table[s] = 1
-    for s in ahead.prefixes_at_depth(depth):
-        table[s] = -1
+    table = [a - b for a, b in zip(unpack(subset.bits, size), unpack(ahead, size))]
     return FullGroupElement._trusted(depth, table)
 
 
@@ -106,9 +99,7 @@ def oddpart(n: int) -> int:
     return n >> ((n & -n).bit_length() - 1)
 
 
-def ncycle_support_test(
-    subset: ClopenSet, order: int, max_extra_depth: int = 6
-) -> tuple[bool, ClopenSet | None]:
+def ncycle_support_test(subset: ClopenSet, order: int) -> tuple[bool, ClopenSet | None]:
     """A piece tiling ``subset`` under its first-return map, if one exists.
 
     Looks for a cylinder union ``B`` with ``subset`` equal to the disjoint
@@ -123,26 +114,22 @@ def ncycle_support_test(
 
     Hence a witness exists at all exactly when the odd part of ``order``
     divides ``count``, and the least extra depth is the excess of the
-    two-adic valuation of ``order`` over that of ``count``.  An excess
-    beyond ``max_extra_depth`` raises ``SearchDepthError`` rather than
-    returning a silently wrong negative.
+    two-adic valuation of ``order`` over that of ``count``.  The depth cap
+    is the one bound on that depth: a witness deeper than the cap raises
+    ``DepthCapError`` rather than returning a silently wrong negative.
     """
     if subset.is_empty:
         raise EmptySetError("an empty set supports no cycles")
     if order < 2:
         raise ValueError("cycle order must be at least 2")
-    if max_extra_depth < 0:
-        raise ValueError("max_extra_depth must be nonnegative")
 
     count = subset.cylinder_count()
     if count % oddpart(order):
         return False, None
     extra = max(0, (order & -order).bit_length() - (count & -count).bit_length())
-    if extra > max_extra_depth:
-        raise SearchDepthError(
-            f"a witness exists at extra depth {extra},"
-            f" beyond the searched bound {max_extra_depth}"
-        )
     depth = subset.depth + extra
     members = subset.prefixes_at_depth(depth)
-    return True, ClopenSet.from_prefixes(depth, members[::order])
+    flags = bytearray(1 << depth)
+    for s in members[::order]:
+        flags[s] = 1
+    return True, ClopenSet._trusted(depth, pack(flags))

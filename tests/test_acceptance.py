@@ -252,7 +252,8 @@ def _tiling_holds(subset, piece, order):
 
 def _first_return_order(subset, depth):
     size = 1 << depth
-    member = subset.bits_at_depth(depth)
+    text = format(subset.bits, f"0{1 << subset.depth}b")
+    member = int(text * 2 ** (depth - subset.depth), 2)
     start = (member & -member).bit_length() - 1
     order = [start]
     s = (start + 1) % size
@@ -293,7 +294,7 @@ def test_criterion_10_ncycle_support():
         count = subset.cylinder_count()
         for order in range(2, 17):
             expected = count % oddpart(order) == 0
-            found, piece = ncycle_support_test(subset, order, 6)
+            found, piece = ncycle_support_test(subset, order)
             if found != expected:
                 failures.append(("criterion", subset.depth, count, order))
                 continue
@@ -381,9 +382,10 @@ def test_frozen_counterexample_sum():
 
 def test_tiny_cycle_supports_fully_enumerated():
     """Genuine subset enumeration for tiny cases: every candidate piece is
-    tried, with no structural shortcut."""
-    from odofull import SearchDepthError
-
+    tried, with no structural shortcut.  Only witnesses at the set's own
+    depth count: one found at the least extra depth ``e > 0`` cannot reduce
+    to that depth, since its ``order`` copies would then tile ``count``
+    cylinders with ``order`` not dividing ``count``."""
     for depth in (1, 2):
         for bits in range(1, 1 << (1 << depth)):
             subset = ClopenSet(depth, bits)
@@ -398,8 +400,5 @@ def test_tiny_cycle_supports_fully_enumerated():
                     for size in range(1, len(members) + 1)
                     for combo in itertools.combinations(members, size)
                 )
-                try:
-                    found, _ = ncycle_support_test(subset, order, 0)
-                except SearchDepthError:
-                    found = False  # a deeper witness exists, none at this depth
-                assert witnessed == found
+                found, witness = ncycle_support_test(subset, order)
+                assert witnessed == (found and witness.depth <= subset.depth)

@@ -28,6 +28,11 @@ def random_set(rng, depth):
     return ClopenSet(depth, rng.getrandbits(1 << depth))
 
 
+def refine(u, depth):
+    """Step table of ``u`` at ``depth >= u.depth``: the canonical table, repeated."""
+    return u.cocycle * 2 ** (depth - u.depth)
+
+
 def test_make_merges_full_pair_to_whole_space():
     assert ClopenSet.from_prefixes(1, {0, 1}) == ClopenSet.full()
     assert ClopenSet.from_prefixes(1, {0, 1}).depth == 0
@@ -148,14 +153,9 @@ def test_depth_cap_is_hard_error(monkeypatch):
         lambda: ClopenSet(6, 1),
         lambda: random_element(6),
         lambda: random_clopen(random.Random(0), 6),
-        lambda: FullGroupElement(1, [1, -1]).cocycle_at_depth(6),
-        lambda: ClopenSet.from_prefixes(1, {0}).bits_at_depth(6),
         lambda: ClopenSet.from_prefixes(1, {0}).prefixes_at_depth(6),
     ],
-    ids=[
-        "element", "clopen", "random_element", "random_clopen",
-        "cocycle_at_depth", "bits_at_depth", "prefixes_at_depth",
-    ],
+    ids=["element", "clopen", "random_element", "random_clopen", "prefixes_at_depth"],
 )
 def test_depth_cap_holds_at_every_public_entry(monkeypatch, entry):
     monkeypatch.setenv(DEPTH_CAP_ENV, "5")
@@ -177,7 +177,7 @@ def naive_members(bits: int, size: int) -> tuple:
 
 
 def naive_refine(a: ClopenSet, depth: int) -> int:
-    """Reference model of ``bits_at_depth``: prefix ``s`` restricts to ``s mod 2**d``."""
+    """Reference refinement to ``depth``: prefix ``s`` restricts to ``s mod 2**d``."""
     bits = 0
     for s in range(1 << depth):
         if (a.bits >> (s % (1 << a.depth))) & 1:
@@ -220,7 +220,6 @@ def test_prefixes_match_per_bit_walk():
         a = random_set(rng, rng.randint(0, 10))
         assert a.prefixes() == naive_members(a.bits, 1 << a.depth)
         depth = min(a.depth + rng.randint(0, 2), 10)
-        assert a.bits_at_depth(depth) == naive_refine(a, depth)
         assert a.prefixes_at_depth(depth) == naive_members(naive_refine(a, depth), 1 << depth)
 
 
@@ -237,7 +236,7 @@ def test_support_and_image_match_per_bit_walk():
         a = random_set(rng, rng.randint(0, 10))
         depth = max(u.depth, a.depth)
         size = 1 << depth
-        steps = u.cocycle_at_depth(depth)
+        steps = refine(u, depth)
         image = 0
         for s in naive_members(naive_refine(a, depth), size):
             image |= 1 << ((s + steps[s]) % size)
@@ -248,7 +247,7 @@ def naive_induce(u, a):
     """Per-bit first-return walk: (table, return times, meets every orbit)."""
     depth = max(u.depth, a.depth)
     size = 1 << depth
-    steps = u.cocycle_at_depth(depth)
+    steps = refine(u, depth)
     member = naive_refine(a, depth)
     table = [0] * size
     times = {}
@@ -290,7 +289,7 @@ def test_induce_matches_per_bit_walk():
         table, times, meets = naive_induce(u, a)
         result = induce(u, a)
         depth = max(u.depth, a.depth)
-        assert result.element.cocycle_at_depth(depth) == tuple(table)
+        assert refine(result.element, depth) == tuple(table)
         assert result.return_times == times
         assert result.meets_every_nontrivial_orbit == meets
         outcomes.add(meets)
@@ -304,7 +303,7 @@ def test_ncycle_witness_matches_per_bit_return_cycle():
         if a.is_empty:
             continue
         order = rng.randint(2, 12)
-        found, witness = ncycle_support_test(a, order, max_extra_depth=4)
+        found, witness = ncycle_support_test(a, order)
         count = a.cylinder_count()
         assert found == (count % oddpart(order) == 0)
         if not found:

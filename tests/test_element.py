@@ -20,16 +20,21 @@ IDENTITY = E.identity()
 T = E.odometer()
 
 
+def refine(u, depth):
+    """Step table of ``u`` at ``depth >= u.depth``: the canonical table, repeated."""
+    return u.cocycle * 2 ** (depth - u.depth)
+
+
 def permutation_at_depth(u, depth):
     """Prefix permutation ``s -> (s + n(s)) mod 2**depth`` of ``u`` at ``depth``."""
     size = 1 << depth
-    return [(s + n) % size for s, n in enumerate(u.cocycle_at_depth(depth))]
+    return [(s + n) % size for s, n in enumerate(refine(u, depth))]
 
 
 def frac_distance(u, v, p):
     """Independent exact model of the metrics via stdlib fractions."""
     depth = max(u.depth, v.depth)
-    a, b = u.cocycle_at_depth(depth), v.cocycle_at_depth(depth)
+    a, b = refine(u, depth), refine(v, depth)
     if p == "uniform":
         total = sum(1 for x, y in zip(a, b) if x != y)
     else:
@@ -163,7 +168,7 @@ def test_index_of_random_element_splits_into_wraps_plus_drift():
         depth = rng.randint(0, 6)
         size = 1 << depth
         u = random_element(depth, 5, rng=rng)
-        table = u.cocycle_at_depth(max(depth, u.depth))
+        table = refine(u, max(depth, u.depth))
         wraps = sum(n // size for n in table)
         drift = sum(n % size for n in table)
         assert drift % size == 0
@@ -309,7 +314,7 @@ def test_random_element_wrap_zero_range():
     for _ in range(100):
         depth = rng.randint(0, 6)
         u = random_element(depth, 0, rng=rng)
-        assert all(0 <= n < (1 << depth) for n in u.cocycle_at_depth(depth))
+        assert all(0 <= n < (1 << depth) for n in refine(u, depth))
 
 
 def test_random_element_deterministic_for_seed():

@@ -28,6 +28,16 @@ T = E.odometer()
 IDENTITY = E.identity()
 
 
+def refine(u, depth):
+    """Step table of ``u`` at ``depth >= u.depth``: the canonical table, repeated."""
+    return u.cocycle * 2 ** (depth - u.depth)
+
+
+def refine_bits(a, depth):
+    """Membership mask of ``a`` at ``depth >= a.depth``: the canonical mask, repeated."""
+    return int(format(a.bits, f"0{1 << a.depth}b") * 2 ** (depth - a.depth), 2)
+
+
 # -- cycle-class decomposition ---------------------------------------------------
 
 
@@ -114,8 +124,9 @@ def test_positivize_random_almost_positive_elements():
         assert straightened.left_periodic * straightened.induced == u
         assert straightened.induced * straightened.right_periodic == u
         if not u.is_identity:
-            support_bits = straightened.domain.bits_at_depth(max(u.depth, straightened.domain.depth))
-            element_bits = u.support().bits_at_depth(max(u.depth, straightened.domain.depth))
+            depth = max(u.depth, straightened.domain.depth)
+            support_bits = refine_bits(straightened.domain, depth)
+            element_bits = refine_bits(u.support(), depth)
             assert support_bits & ~element_bits == 0
             checked += 1
 
@@ -216,7 +227,7 @@ def peel_one_at_a_time(u):
 
 def random_positive(rng, depth, wraps):
     size = 1 << depth
-    table = random_element(depth, 0, rng=rng).cocycle_at_depth(depth)
+    table = refine(random_element(depth, 0, rng=rng), depth)
     return E(depth, [n + size * rng.randint(0, wraps) for n in table])
 
 

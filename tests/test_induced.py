@@ -7,11 +7,11 @@ import pytest
 
 from odofull import (
     ClopenSet,
+    DepthCapError,
     Dyadic,
     EmptySetError,
     FullGroupElement,
     OverlapError,
-    SearchDepthError,
     distance,
     induce,
     kac_check,
@@ -26,10 +26,20 @@ T = E.odometer()
 IDENTITY = E.identity()
 
 
+def refine(u, depth):
+    """Step table of ``u`` at ``depth >= u.depth``: the canonical table, repeated."""
+    return u.cocycle * 2 ** (depth - u.depth)
+
+
+def refine_bits(a, depth):
+    """Membership mask of ``a`` at ``depth >= a.depth``: the canonical mask, repeated."""
+    return int(format(a.bits, f"0{1 << a.depth}b") * 2 ** (depth - a.depth), 2)
+
+
 def permutation_at_depth(u, depth):
     """Prefix permutation ``s -> (s + n(s)) mod 2**depth`` of ``u`` at ``depth``."""
     size = 1 << depth
-    return [(s + n) % size for s, n in enumerate(u.cocycle_at_depth(depth))]
+    return [(s + n) % size for s, n in enumerate(refine(u, depth))]
 
 
 def random_set(rng, depth, nonempty=True):
@@ -86,8 +96,8 @@ def test_induced_element_fixes_complement():
         u = random_element(depth, 3, rng=rng)
         subset = random_set(rng, depth)
         result = induce(u, subset)
-        support_bits = result.element.support().bits_at_depth(result.depth)
-        member_bits = subset.bits_at_depth(result.depth)
+        support_bits = refine_bits(result.element.support(), result.depth)
+        member_bits = refine_bits(subset, result.depth)
         assert support_bits & ~member_bits == 0
 
 
@@ -102,7 +112,7 @@ def test_induce_first_return_semantics_via_powers():
         subset = random_set(rng, depth)
         result = induce(u, subset)
         depth_r = result.depth
-        member = subset.bits_at_depth(depth_r)
+        member = refine_bits(subset, depth_r)
         powers = {1: u}
         for s, r in result.return_times.items():
             for k in range(1, r + 1):
@@ -111,8 +121,8 @@ def test_induce_first_return_semantics_via_powers():
                 landing = permutation_at_depth(powers[k], depth_r)[s]
                 inside = bool((member >> landing) & 1)
                 assert inside == (k == r)
-            table = powers[r].cocycle_at_depth(depth_r)
-            assert result.element.cocycle_at_depth(depth_r)[s] == table[s]
+            table = refine(powers[r], depth_r)
+            assert refine(result.element, depth_r)[s] == table[s]
 
 
 def test_induced_index_preserved_when_meeting_all_orbits():
@@ -221,14 +231,12 @@ def test_ncycle_whole_space_order_two():
 
 
 def test_ncycle_whole_space_order_three_never_found():
-    for extra in range(7):
-        found, piece = ncycle_support_test(ClopenSet.full(), 3, extra)
-        assert not found and piece is None
+    assert ncycle_support_test(ClopenSet.full(), 3) == (False, None)
 
 
 def test_ncycle_three_cylinders_order_three():
     subset = ClopenSet.from_prefixes(2, {0, 1, 2})
-    found, piece = ncycle_support_test(subset, 3, 0)
+    found, piece = ncycle_support_test(subset, 3)
     assert found
     assert piece.cylinder_count() == 1
     assert tiling_holds(subset, piece, 3)
@@ -241,13 +249,15 @@ def test_ncycle_rejects_bad_inputs():
         ncycle_support_test(ClopenSet.full(), 1)
 
 
-def test_ncycle_shallow_search_raises_instead_of_false_negative():
-    # one cylinder, order 16: a witness needs four extra levels
+def test_ncycle_deep_witness_is_bounded_by_the_depth_cap_alone(monkeypatch):
+    # one cylinder, order 256: a witness needs eight extra levels
     subset = ClopenSet.from_prefixes(2, {1})
-    with pytest.raises(SearchDepthError):
-        ncycle_support_test(subset, 16, 1)
-    found, piece = ncycle_support_test(subset, 16, 4)
-    assert found and tiling_holds(subset, piece, 16)
+    found, piece = ncycle_support_test(subset, 256)
+    assert found and piece.depth == 10
+    assert tiling_holds(subset, piece, 256)
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "9")
+    with pytest.raises(DepthCapError, match="depth 10 exceeds cap 9"):
+        ncycle_support_test(subset, 256)
 
 
 def test_ncycle_negative_verdict_ignores_depth_cap(monkeypatch):

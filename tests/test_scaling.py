@@ -21,6 +21,7 @@ from odofull import (
     normal_form,
     positivize,
     random_element,
+    transposition,
 )
 from odofull.factor import _peel
 from odofull.verify import random_periodic_element
@@ -38,6 +39,11 @@ OPERATIONS = {
     "induce": lambda rng, d: (induce, random_element(d, 2, rng=rng), random_set(rng, d)),
     "image_of": lambda rng, d: (random_element(d, 2, rng=rng).image_of, random_set(rng, d)),
     "escape_time": lambda rng, d: (escape_time, random_set(rng, d)),
+    # even prefixes only, so the set is disjoint from its translate
+    "transposition": lambda rng, d: (
+        transposition,
+        ClopenSet(d, rng.getrandbits(1 << d) & int("01" * (1 << (d - 1)), 2) | 1),
+    ),
     "support": lambda rng, d: (random_element(d, 2, rng=rng).support,),
     "prefixes": lambda rng, d: (random_set(rng, d).prefixes,),
     "from_prefixes": lambda rng, d: (

@@ -150,6 +150,16 @@ def test_cli_ncycle(capsys):
     assert json.loads(capsys.readouterr().out) == {"found": False, "witness": None}
 
 
+def test_cli_ncycle_witness_depth_obeys_only_the_depth_cap(monkeypatch, capsys):
+    argv = ["ncycle", "--set", '{"depth":2,"prefixes":[1]}', "--n", "256", "--format", "json"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["found"] and obj["witness"]["depth"] == 10
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "9")
+    assert main(argv) == 2
+    assert "depth 10 exceeds cap 9" in capsys.readouterr().err
+
+
 def test_cli_escape_and_family(capsys):
     assert main(["escape", "--set", '{"depth":2,"prefixes":[0,1,2]}', "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
