@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm
+from operator import add
 
 from .clopen import ClopenSet, check_depth, pack, unpack
 from .dyadic import Dyadic
@@ -230,6 +231,10 @@ class FullGroupElement:
 
 def _check_bijective(depth: int, table) -> None:
     size = 1 << depth
+    targets = map((size - 1).__and__, map(add, range(size), table))
+    if set(map(type, table)) <= {int} and len(set(targets)) == size:
+        return
+    # rescan entry by entry to name the bad entry or the colliding prefixes
     hit_by = [-1] * size
     for s, n in enumerate(table):
         if not isinstance(n, int) or isinstance(n, bool):

@@ -9,9 +9,10 @@ mechanism exactly with dyadic tower heights.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .clopen import ClopenSet, depth_cap
+from .clopen import ClopenSet, depth_cap, unpack
 from .dyadic import Dyadic
 from .errors import DepthCapError, EmptySetError
 
@@ -31,6 +32,10 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+# A maximal run of member flags.  Spelled with a literal first byte, which
+# lets the regex engine jump between runs by a fast search instead of
+# stepping through the non-members one at a time.
+_RUN = re.compile(rb"\x01\x01*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,17 +67,8 @@ def escape_time(subset: ClopenSet) -> EscapeResult:
 
     depth = subset.depth
     size = 1 << depth
-    members = subset.prefixes()
-
-    runs = []
-    start = prev = members[0]
-    for s in members[1:]:
-        if s == prev + 1:
-            prev = s
-        else:
-            runs.append((start, prev))
-            start = prev = s
-    runs.append((start, prev))
+    flags = unpack(subset.bits, size)
+    runs = [(m.start(), m.end() - 1) for m in _RUN.finditer(flags)]
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == size - 1:
         # one cyclic run through position 0, tracked past the table end
         first = runs.pop(0)

@@ -12,6 +12,7 @@ while they fit in 53 bits and as decimal strings beyond that.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -84,11 +85,12 @@ def clopen_from_obj(obj) -> ClopenSet:
 
 
 def element_to_obj(u: FullGroupElement) -> dict:
-    return {
-        "system": ODOMETER_SYSTEM,
-        "depth": u.depth,
-        "cocycle": [_int_obj(n) for n in u.cocycle],
-    }
+    table = u.cocycle
+    if -_SAFE_INT < min(table) and max(table) < _SAFE_INT:
+        cocycle = list(table)
+    else:
+        cocycle = [_int_obj(n) for n in table]
+    return {"system": ODOMETER_SYSTEM, "depth": u.depth, "cocycle": cocycle}
 
 
 def element_from_obj(obj) -> FullGroupElement:
@@ -96,7 +98,10 @@ def element_from_obj(obj) -> FullGroupElement:
     cocycle = obj.get("cocycle")
     if not isinstance(cocycle, list):
         raise ParseError("'cocycle' must be a list")
-    table = [_int_from(n) for n in cocycle]
+    if set(map(type, cocycle)) <= {int}:
+        table = cocycle
+    else:  # decimal strings beyond 2**53, or entries to reject
+        table = [_int_from(n) for n in cocycle]
     try:
         return FullGroupElement(depth, table)
     except ValueError as exc:
@@ -225,9 +230,49 @@ def certificate_to_obj(cert: FactorizationCertificate) -> dict:
 # -- command results ----------------------------------------------------------------
 
 
+_INDENT = "  "
+_encode_scalar = json.JSONEncoder().encode
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+@functools.cache
+def _flat_list_encoder(level: int):
+    """Encodes a list of scalars at ``level`` one item a line, in one C call."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * (level + 1), ": ")).encode
+
+
+def _encode(obj, level: int) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it at nesting ``level``."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        brackets = "{}"
+        items = [_encode_key(key) + ": " + _encode(value, level + 1) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        brackets = "[]"
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+            items = [_encode(item, level + 1) for item in obj]
+        else:  # one item: all of them, already joined by the encoder
+            items = [_flat_list_encoder(level)(obj)[1:-1]]
+    elif type(obj) is int:  # skips the encoder's set-up; it writes an int as repr()
+        return repr(obj)
+    else:
+        return _encode_scalar(obj)
+    inner = "\n" + _INDENT * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + _INDENT * level + brackets[1]
+
+
 def json_text(obj) -> str:
-    """The indented JSON document the CLI writes for ``--format json``."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The indented JSON document the CLI writes for ``--format json``.
+
+    The bytes are those of ``json.dumps(obj, indent=2) + "\n"`` for every
+    object with ``str`` keys.  ``json.dumps`` encodes indented output in
+    pure Python; here each list of scalars, such as a cocycle, is one call
+    of the C encoder, and only the dicts and lists above it are walked.
+    """
+    return _encode(obj, 0) + "\n"
 
 
 def cycle_parts_to_obj(parts: CycleClassParts) -> dict:

@@ -68,6 +68,32 @@ def test_escape_matches_pointwise_oracle():
         assert result.integral == Dyadic(sum(result.times.values()), result.depth)
 
 
+@pytest.mark.parametrize(
+    "depth, prefixes",
+    [
+        (4, {14, 15, 0, 1, 2, 7}),  # a run wrapping through position 0
+        (3, {7, 0}),  # a wrap-around run and nothing else
+        (5, range(3, 20)),  # a single run
+        (6, range(0, 62, 2)),  # alternating members
+        (6, range(1, 64, 2)[1:]),  # alternating, ending at the last prefix
+    ],
+)
+def test_escape_runs_match_member_walk(depth, prefixes):
+    subset = ClopenSet.from_prefixes(depth, prefixes)
+    assert subset.depth == depth
+    result = escape_time(subset)
+    assert result.times == escape_oracle(subset)
+    assert result.integral == Dyadic(sum(result.times.values()), depth)
+
+
+@pytest.mark.parametrize("depth", [14, 17])
+def test_escape_matches_member_walk_on_deep_sets(depth):
+    rng = random.Random(depth)
+    for _ in range(2):
+        subset = ClopenSet(depth, rng.getrandbits(1 << depth))
+        assert escape_time(subset).times == escape_oracle(subset)
+
+
 def test_tower_family_first_row():
     row = escape_tower_family(1)[0]
     assert (row.m, row.depth) == (1, 3)

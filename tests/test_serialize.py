@@ -11,15 +11,24 @@ from odofull import (
     FullGroupElement,
     NotBijectiveError,
     ParseError,
+    RunReport,
     TowerElement,
     TowerSystem,
     counterexample_report,
+    decompose_pnp,
+    escape_time,
     escape_tower_family,
+    factor_periodic_into_involutions,
+    factor_positive,
+    induce,
+    ncycle_support_test,
     normal_form,
     parse_element,
     random_element,
+    run_verify,
 )
 from odofull import serialize
+from odofull.verify import random_periodic_element
 
 
 def test_dyadic_strings():
@@ -98,6 +107,13 @@ def test_big_cocycle_entries_become_strings():
     obj = serialize.element_to_obj(u)
     assert obj["cocycle"] == [str(big)]
     assert parse_element(json.dumps(obj)) == u
+    # the first entry past 2**53 next to the last one within it
+    edge = FullGroupElement(1, [(1 << 53) + 1, -(1 << 53) + 1])
+    obj = serialize.element_to_obj(edge)
+    assert obj["cocycle"] == ["9007199254740993", -9007199254740991]
+    text = serialize.json_text(obj)
+    assert text == json.dumps(obj, indent=2) + "\n"
+    assert parse_element(text) == edge
 
 
 def test_element_from_file(tmp_path):
@@ -193,3 +209,132 @@ def test_no_floats_in_machine_formats():
 def test_approx_marks_decimals():
     assert serialize.approx(Dyadic(3, 2)).startswith("3/2^2")
     assert "≈" in serialize.approx(Dyadic(3, 2))
+
+
+# -- the --format json emitter ------------------------------------------------
+
+
+def _tower_element():
+    system = TowerSystem([(4, Dyadic(1, 3)), (8, Dyadic(1, 5))])
+    return TowerElement.from_moves(system, [{0: 2, 2: -2}, {1: 3, 4: -3}])
+
+
+_RNG = random.Random(1301)
+_SET = ClopenSet.from_prefixes(4, {0, 1, 5, 9, 10, 15})
+_CLI_OBJECTS = {
+    "normal-form": lambda: serialize.certificate_to_obj(
+        normal_form(FullGroupElement.odometer(-5) * random_periodic_element(_RNG, 3))
+    ),
+    "factor-positive": lambda: serialize.certificate_to_obj(
+        factor_positive(random_element(3, 0, rng=_RNG))
+    ),
+    "factor-involutions": lambda: serialize.certificate_to_obj(
+        factor_periodic_into_involutions(random_periodic_element(_RNG, 4))
+    ),
+    "decompose": lambda: serialize.cycle_parts_to_obj(
+        decompose_pnp(random_element(3, 2, rng=_RNG))
+    ),
+    "ncycle-found": lambda: serialize.ncycle_to_obj(
+        ncycle_support_test(ClopenSet.from_prefixes(2, {0, 1}), 2)
+    ),
+    "ncycle-none": lambda: serialize.ncycle_to_obj(ncycle_support_test(ClopenSet.full(), 3)),
+    "induce": lambda: serialize.induced_to_obj(induce(random_element(4, 1, rng=_RNG), _SET)),
+    "escape": lambda: serialize.escape_result_to_obj(escape_time(_SET)),
+    "escape-infinite": lambda: serialize.escape_result_to_obj(escape_time(ClopenSet.full())),
+    "escape-family": lambda: serialize.escape_rows_to_obj(escape_tower_family(3)),
+    "counterexample": lambda: serialize.counterexample_to_obj(counterexample_report(4)),
+    "tower-element": lambda: serialize.tower_element_to_obj(_tower_element()),
+    "element": lambda: serialize.element_to_obj(random_element(5, 3, rng=_RNG)),
+    "index": lambda: serialize.index_to_obj(-7),
+    "verify": lambda: serialize.report_to_obj(run_verify("escape", 0)),
+    "verify-failures": lambda: serialize.report_to_obj(
+        RunReport("group", 3, [{"check": "inverse", "inputs": {"u": [1, -1]}}], 0.125)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CLI_OBJECTS))
+def test_json_text_is_json_dumps_on_every_cli_result(kind):
+    obj = _CLI_OBJECTS[kind]()
+    assert serialize.json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": {"d": [[], {}]}},
+        [[], [[]], {}],
+        (1, (2, 3), ()),
+        {"t": (1, "x"), "u": [(), (None,)]},
+        {"é": "ünïcode ☃", "k": ["\u2200", "tab\there", 'quote"']},
+        [True, False, None],
+        {"yes": True, "no": False, "none": None},
+        [1, [2, 3], {"a": 4}, "five", None, [], {}],
+        [[[[1, "deep"]]]],
+        0.125,
+        "bare",
+        None,
+    ],
+)
+def test_json_text_edge_shapes(obj):
+    assert serialize.json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+# -- whole-table checks at the JSON boundary ------------------------------------
+
+
+def _per_entry_scan(depth, table):
+    """The entry-by-entry bijectivity scan, as a reference for the messages."""
+    size = 1 << depth
+    hit_by = [-1] * size
+    for s, n in enumerate(table):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError("cocycle entries must be integers")
+        target = (s + n) % size
+        if hit_by[target] >= 0:
+            raise NotBijectiveError(f"prefixes {hit_by[target]} and {s} both map to {target}")
+        hit_by[target] = s
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.5])
+def test_non_integer_entries_rejected(bad):
+    with pytest.raises(TypeError, match="cocycle entries must be integers"):
+        FullGroupElement(1, [bad, 0])
+    with pytest.raises(TypeError, match="cocycle entries must be integers"):
+        FullGroupElement(1, [0, bad])
+    with pytest.raises(ParseError, match=f"expected an integer, got {bad!r}"):
+        parse_element(json.dumps({"system": "dyadic_odometer", "depth": 1, "cocycle": [0, bad]}))
+
+
+def test_colliding_tables_name_the_same_prefixes_as_the_per_entry_scan():
+    rng = random.Random(1302)
+    seen = 0
+    for _ in range(300):
+        depth = rng.randint(1, 6)
+        table = [rng.randint(-9, 9) for _ in range(1 << depth)]
+        try:
+            _per_entry_scan(depth, table)
+        except NotBijectiveError as exc:
+            message = str(exc)
+        else:
+            continue
+        seen += 1
+        with pytest.raises(NotBijectiveError) as raised:
+            FullGroupElement(depth, table)
+        assert str(raised.value) == message
+        obj = {"system": "dyadic_odometer", "depth": depth, "cocycle": table}
+        with pytest.raises(NotBijectiveError) as raised:
+            parse_element(json.dumps(obj))
+        assert str(raised.value) == message
+    assert seen > 200
+
+
+def test_int_subclass_entries_still_accepted():
+    class Steps(int):
+        pass
+
+    assert FullGroupElement(1, [Steps(1), Steps(-1)]) == FullGroupElement(1, [1, -1])
+    u = serialize.element_from_obj({"depth": 1, "cocycle": [Steps(3), 1]})
+    assert u.cocycle == (3, 1) and type(u.cocycle[0]) is int
