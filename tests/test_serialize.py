@@ -214,11 +214,6 @@ def test_approx_marks_decimals():
 # -- the --format json emitter ------------------------------------------------
 
 
-def _tower_element():
-    system = TowerSystem([(4, Dyadic(1, 3)), (8, Dyadic(1, 5))])
-    return TowerElement.from_moves(system, [{0: 2, 2: -2}, {1: 3, 4: -3}])
-
-
 _RNG = random.Random(1301)
 _SET = ClopenSet.from_prefixes(4, {0, 1, 5, 9, 10, 15})
 _CLI_OBJECTS = {
@@ -243,7 +238,9 @@ _CLI_OBJECTS = {
     "escape-infinite": lambda: serialize.escape_result_to_obj(escape_time(ClopenSet.full())),
     "escape-family": lambda: serialize.escape_rows_to_obj(escape_tower_family(3)),
     "counterexample": lambda: serialize.counterexample_to_obj(counterexample_report(4)),
-    "tower-element": lambda: serialize.tower_element_to_obj(_tower_element()),
+    "tower-element": lambda: serialize.tower_element_to_obj(
+        TowerElement.from_moves(TowerSystem([(4, Dyadic(1, 3))]), [{0: 2, 2: -2}])
+    ),
     "element": lambda: serialize.element_to_obj(random_element(5, 3, rng=_RNG)),
     "index": lambda: serialize.index_to_obj(-7),
     "verify": lambda: serialize.report_to_obj(run_verify("escape", 0)),
