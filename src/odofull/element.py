@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
-from operator import add
+from operator import add, ne, sub
 
 from .clopen import ClopenSet, check_depth, pack, unpack
 from .dyadic import Dyadic
@@ -121,6 +121,21 @@ class FullGroupElement:
         for s, n in enumerate(self.cocycle):
             table[(s + n) % size] = -n
         return FullGroupElement._trusted(self.depth, table)
+
+    def _over(self, other: "FullGroupElement") -> "FullGroupElement":
+        """Right quotient ``self * other.inverse()`` in one pass.
+
+        ``other`` carries the cylinder ``s`` to ``t = s + n_other(s)``, so
+        the quotient steps back to ``s`` and on by ``n_self(s)``: its step
+        on ``t`` is ``n_self(s) - n_other(s)``.
+        """
+        depth = max(self.depth, other.depth)
+        size = 1 << depth
+        numerator = self._cocycle_at(depth)
+        table = [0] * size
+        for s, n in enumerate(other._cocycle_at(depth)):
+            table[(s + n) % size] = numerator[s] - n
+        return FullGroupElement._trusted(depth, table)
 
     def __pow__(self, power: int) -> "FullGroupElement":
         if self.depth == 0:  # T^n, whose powers are T^(n * power)
@@ -269,7 +284,12 @@ class OrbitDecomposition:
 
 
 def commutator(u: FullGroupElement, v: FullGroupElement) -> FullGroupElement:
-    return u * v * u.inverse() * v.inverse()
+    """The commutator ``[u, v] = u v u^-1 v^-1``.
+
+    Since ``(vu)^-1 = u^-1 v^-1``, it equals ``(uv)(vu)^-1``: two
+    compositions and one quotient, three table passes.
+    """
+    return (u * v)._over(v * u)
 
 
 def distance(u: FullGroupElement, v: FullGroupElement, p=1) -> Dyadic:
@@ -285,11 +305,11 @@ def distance(u: FullGroupElement, v: FullGroupElement, p=1) -> Dyadic:
     a = u._cocycle_at(depth)
     b = v._cocycle_at(depth)
     if p == "uniform":
-        total = sum(1 for x, y in zip(a, b) if x != y)
+        total = sum(map(ne, a, b))
     elif p == 1:
-        total = sum(abs(x - y) for x, y in zip(a, b))
+        total = sum(map(abs, map(sub, a, b)))
     elif isinstance(p, int) and p >= 2:
-        total = sum(abs(x - y) ** p for x, y in zip(a, b))
+        total = sum(map(pow, map(abs, map(sub, a, b)), repeat(p)))
     else:
         raise ValueError(f"p must be 1, an integer >= 2, or 'uniform': {p!r}")
     return Dyadic(total, depth)

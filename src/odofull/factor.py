@@ -6,10 +6,11 @@ the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
 
 One loop, ``_peel``, splits a positive element into runs of equal return
-maps, one composition per run.  ``factor_positive`` writes each run's
-support once per peel; ``normal_form`` turns each run's map into one
-periodic piece and odometer steps, and moves the steps right by rotating
-the pieces' tables.  A word holds at most ``2**depth_cap()`` factors.
+maps ``Q``; each run is one quotient of the remainder by ``Q**count``,
+with no inverse table.  ``factor_positive`` writes each run's support
+once per peel; ``normal_form`` turns each run's map into one periodic
+piece and odometer steps, and moves the steps right by rotating the
+pieces' tables.  A word holds at most ``2**depth_cap()`` factors.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement, int]]:
     permutes ``S``, steps ``rho(s) = (s + n(s)) // N * c + rank((s + n(s))
     % N) - rank(s) >= 1``.  Then ``k`` peels ``R Q^-k`` step
     ``rho(Q^-k s) - k``, nowhere zero exactly while ``k < min rho``: a run
-    is ``min rho`` peels, one composition.  Full support: ``Q = T, rho = n``.
+    is ``min rho`` peels, one quotient ``R (Q^k)^-1``.  Full support:
+    ``Q = T, rho = n``.
 
     Nesting: ``Q`` and the remainder fix every point off the support, so
     the next remainder does too.  Run supports are thus strictly nested
@@ -202,7 +204,7 @@ def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement, int]]:
         )
         return_map = induce(odometer, support).element
         runs.append((support, return_map, count))
-        remainder = remainder * return_map**-count
+        remainder = remainder._over(return_map**count)
     if sum(k for _, _, k in runs) != u.index():
         raise InvariantError(f"peel counts sum to {sum(k for _, _, k in runs)}, not {u.index()}")
     return runs

@@ -144,6 +144,32 @@ def test_group_axioms_random():
         assert (u * v).inverse() == v.inverse() * u.inverse()
 
 
+def test_quotient_and_commutator_match_the_composed_formulas():
+    rng = random.Random(109)
+    for depth in range(9):
+        pool = [random_element(depth, 2, rng=rng) for _ in range(4)]
+        pool += [random_element(rng.randint(0, depth), 2, rng=rng) for _ in range(2)]
+        pool += [T**-3, T ** (1 << depth)]
+        for u in pool:
+            for v in pool:
+                assert u._over(v) == u * v.inverse(), (u, v)
+                assert commutator(u, v) == u * v * u.inverse() * v.inverse(), (u, v)
+
+
+def test_commutator_is_two_compositions_and_one_quotient(monkeypatch):
+    rng = random.Random(113)
+    u, v = random_element(5, 2, rng=rng), random_element(6, 2, rng=rng)
+    expected = u * v * u.inverse() * v.inverse()
+    calls = []
+    for name in ("__mul__", "_over", "inverse"):
+        method = getattr(E, name)
+        monkeypatch.setattr(
+            E, name, lambda *args, name=name, method=method: calls.append(name) or method(*args)
+        )
+    assert commutator(u, v) == expected
+    assert calls == ["__mul__", "__mul__", "_over"]
+
+
 # -- index ---------------------------------------------------------------------
 
 

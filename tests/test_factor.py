@@ -288,6 +288,17 @@ def test_partial_run_is_one_composition():
     assert runs == [(ClopenSet.full(), T, 1), (ClopenSet.from_prefixes(1, {1}), E(1, [0, 2]), k - 1)]
 
 
+def test_peel_divides_each_run_without_an_inverse(monkeypatch):
+    u = E(1, [3, 1]) * T**40
+    expected = _peel(u)
+    inverse = E.inverse
+    calls = []
+    monkeypatch.setattr(E, "inverse", lambda a: calls.append(a) or inverse(a))
+    runs = _peel(u)
+    assert runs == expected and len(runs) > 1 and all(r.depth for _, r, _ in runs[1:])
+    assert not calls
+
+
 def test_compose_word_builds_each_run_of_equal_factors_once(monkeypatch):
     cert = factor_positive(E(1, [3, 1]) * T**40)
     assert cert.verified and len(cert.word) == 42

@@ -15,6 +15,7 @@ import pytest
 from odofull import (
     ClopenSet,
     FullGroupElement,
+    commutator,
     decompose_pnp,
     factor_periodic_into_involutions,
     induce,
@@ -55,6 +56,8 @@ def _positivized(rng, depth):
 CONSTRUCTIONS = {
     "mul": lambda rng, d: [_element(rng, d) * _element(rng, d)],
     "inverse": lambda rng, d: [_element(rng, d).inverse()],
+    "over": lambda rng, d: [_element(rng, d)._over(_element(rng, d))],
+    "commutator": lambda rng, d: [commutator(_element(rng, d), _element(rng, d))],
     "identity": lambda rng, d: [FullGroupElement.identity()],
     "odometer": lambda rng, d: [FullGroupElement.odometer(rng.randint(-9, 9))],
     "pow": lambda rng, d: [_element(rng, d) ** rng.randint(-5, 5)],
