@@ -4,8 +4,10 @@ The pipeline: split an element by the sign of its cycle displacements,
 straighten the signed parts into return maps times periodic corrections,
 peel positive elements into return maps one index at a time, and write
 each periodic element as a product of two reflections, which are
-involutions.  Each certificate recomposes its word and records the
-comparison in ``verified``.
+involutions.  The normal form needs none of these steps: it writes any
+element as at most two periodic factors times the odometer power of its
+index.  Each certificate recomposes its word and records the comparison
+in ``verified``.
 """
 
 import json

@@ -8,9 +8,10 @@ the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 One loop, ``_peel``, splits a positive element into runs of equal return
 maps ``Q``; each run is one quotient of the remainder by ``Q**count``,
 with no inverse table.  ``factor_positive`` writes each run's support
-once per peel; ``normal_form`` turns each run's map into one periodic
-piece and odometer steps, and moves the steps right by rotating the
-pieces' tables.  A word holds at most ``2**depth_cap()`` factors.
+once per peel, so its word holds the index many factors, at most
+``2**depth_cap()`` of them.  ``normal_form`` does not peel: it writes
+every element as at most two periodic factors and an odometer power, in
+a constant number of table passes.
 """
 
 from __future__ import annotations
@@ -225,49 +226,36 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
 # -- normal form ---------------------------------------------------------------
 
 
-def _rotated(q: FullGroupElement, power: int) -> FullGroupElement:
-    """The conjugate ``T^power q T^-power``.
-
-    Its step on the cylinder ``s`` is the step of ``q`` on ``s - power``,
-    so its table is the table of ``q`` rotated by ``power``.
-    """
-    shift = power % (1 << q.depth)
-    if shift == 0:
-        return q
-    table = q.cocycle
-    return FullGroupElement._trusted(q.depth, table[-shift:] + table[:-shift])
-
-
 def normal_form(u: FullGroupElement) -> FactorizationCertificate:
-    """Certified word of periodic factors followed by an odometer power.
+    """Certified word ``[w p, p^-1, T^k]``: periodic factors, then ``T^index``.
 
-    Pipeline: split by cycle displacement sign; straighten the positive
-    part (and the inverse of the negative part) into a periodic correction
-    times a positive element, and peel that element into runs of return
-    maps ``R``.  The input is then a product of periodic pieces and
-    odometer steps: ``R = (R T^-1) T`` on the positive side and
-    ``R^-1 = (R^-1 T) T^-1`` on the negative side, one piece per run.  One
-    pass moves every step to the right, conjugating each periodic piece
-    past the steps before it, and the trailing power equals the index of
-    ``u``.  Identity pieces (of empty parts, and of full-support runs with
-    ``R = T``) only advance the power; others are written once per peel.
+    ``k`` is the index of ``u`` and ``w = u T^-k`` has index zero, at the
+    depth ``d`` of ``u`` at most; let ``N = 2**d``.  Let ``p`` be the
+    prefix permutation without wraps with ``pi_w(pi_p(s)) = s + 1 mod N``:
+    it steps ``pi_w^-1(s + 1) - s``, so every cycle of ``p`` and of
+    ``p^-1`` sums to zero.  ``w p`` permutes the prefixes as one ``N``-cycle
+    of displacement ``N (index(w) + index(p)) = 0``.  Both factors are thus
+    periodic and no deeper than ``u``, and one scatter pass over ``w``
+    builds both: ``w`` carries ``t`` to ``s + 1`` for ``s = pi_p^-1(t)``,
+    where ``w p`` steps ``t + n(t) - s`` on ``s`` and ``p^-1`` steps
+    ``s - t`` on ``t``.  A periodic ``w`` is written as itself, and the
+    identity not at all.
     """
-    parts = decompose_pnp(u)
-    forward, back = FullGroupElement.odometer(), FullGroupElement.odometer(-1)
-    positive = positivize(parts.almost_positive)
-    negative = positivize(parts.almost_negative.inverse())
-    pieces = [(parts.periodic, 0, 1), (positive.left_periodic, 0, 1)]
-    pieces += [(r * back, 1, k) for _, r, k in reversed(_peel(positive.induced))]
-    pieces += [(r.inverse() * forward, -1, k) for _, r, k in _peel(negative.induced)]
-    pieces.append((negative.left_periodic.inverse(), 0, 1))
-    check_word_length(1 + sum(count for piece, _, count in pieces if not piece.is_identity))
-    word, power = [], 0
-    for piece, step, count in pieces:
-        if not piece.is_identity:
-            word += [PeriodicFactor(_rotated(piece, power + step * j)) for j in range(count)]
-        power += step * count
-    word.append(OdometerPowerFactor(power))
-    return _certified(u, word)
+    k = u.index()
+    w = u * FullGroupElement.odometer(-k)
+    if w.is_identity:
+        periodic = []
+    elif w.is_periodic():
+        periodic = [w]
+    else:
+        size = 1 << w.depth
+        cycled, back = [0] * size, [0] * size
+        for t, n in enumerate(w.cocycle):
+            s = (t + n - 1) % size
+            cycled[s] = t + n - s
+            back[t] = s - t
+        periodic = [FullGroupElement._trusted(w.depth, table) for table in (cycled, back)]
+    return _certified(u, [*map(PeriodicFactor, periodic), OdometerPowerFactor(k)])
 
 
 # -- periodic elements as products of involutions -------------------------------

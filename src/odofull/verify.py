@@ -184,8 +184,10 @@ def _suite_factor(rng: random.Random, scale: str):
         cert = normal_form(u)
         ok = (
             cert.verified
+            and len(cert.word) <= 3
             and cert.word[-1].power == u.index()
             and all(f.element.is_periodic() for f in cert.word[:-1])
+            and all(f.as_element().depth <= u.depth for f in cert.word)
         )
         yield "normal_form", ok, {"case": case, "u": u}
         periodic = random_periodic_element(rng, rng.randint(0, 8))

@@ -20,7 +20,7 @@ from odofull import (
     random_element,
 )
 from odofull import factor
-from odofull.factor import _peel, _rotated
+from odofull.factor import _peel
 from odofull.verify import random_periodic_element
 
 E = FullGroupElement
@@ -311,16 +311,6 @@ def test_compose_word_builds_each_run_of_equal_factors_once(monkeypatch):
 # -- normal form -----------------------------------------------------------------------
 
 
-def test_rotation_is_conjugation_by_odometer_power():
-    rng = random.Random(347)
-    for depth in range(7):
-        size = 1 << depth
-        for _ in range(10):
-            for q in (random_element(depth, 2, rng=rng), random_periodic_element(rng, depth)):
-                for power in (-size - 1, -1, 0, 1, size, 1000):
-                    assert _rotated(q, power) == T**power * q * T**-power
-
-
 def test_normal_form_odometer():
     cert = normal_form(T)
     assert cert.verified
@@ -357,6 +347,53 @@ def test_normal_form_random_elements():
         assert cert.word[-1].kind == "power_of_T"
         assert cert.word[-1].power == u.index()
         assert all(f.element.is_periodic() for f in cert.word[:-1])
+        assert len(cert.word) <= 3
+        assert all(f.as_element().depth <= u.depth for f in cert.word)
+
+
+def test_normal_form_of_an_aperiodic_index_zero_part():
+    # w = u T^-1 = [1, 3, -3, -1] swaps 0, 1 and 2, 3 with displacements 4
+    # and -4; p = [0, 2, 0, -2] is its own inverse, and w p = [1, 1, -3, 1]
+    # steps every s to s + 1
+    u = E(2, [4, -2, 0, 2])
+    cert = normal_form(u)
+    assert cert.verified
+    assert [f.element for f in cert.word[:-1]] == [E(2, [1, 1, -3, 1]), E(2, [0, 2, 0, -2])]
+    assert cert.word[-1].power == 1
+
+
+def test_normal_form_calls_no_peel_and_a_fixed_number_of_table_passes(monkeypatch):
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("induce", "_peel", "positivize", "decompose_pnp"):
+        counting(factor, name)
+    for name in ("__mul__", "inverse"):
+        counting(E, name)
+    rng = random.Random(18)
+    seen = set()
+    for depth in (2, 8, 12):
+        w = E.identity()
+        while w.is_periodic() or w.depth < depth:
+            w = random_element(depth, 2, rng=rng)
+            w = w * T ** -w.index()
+        for k in (1, 10**9):
+            u = w * T**k
+            calls.clear()
+            cert = normal_form(u)
+            assert cert.verified and len(cert.word) == 3 and cert.word[-1].power == k
+            seen.add(tuple(sorted(calls.items())))
+    assert len(seen) == 1
+    counts = dict(seen.pop())
+    assert set(counts) <= {"__mul__", "inverse"} and counts["__mul__"] > 0, counts
 
 
 # -- involution factorization --------------------------------------------------------------

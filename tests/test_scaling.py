@@ -87,8 +87,8 @@ def test_operation_is_linear_in_table_size(name):
 def test_normal_form_cost_is_flat_in_the_index():
     """``normal_form(T^k q)`` costs the same at k = 10^3 and k = 10^6.
 
-    The full-support peels of ``T^k`` form one run built in closed form,
-    so the index adds no work; one peel per unit of index would make the
+    The index enters the word only as the power of one odometer factor,
+    so it adds no work; one table pass per unit of index would make the
     larger call about a thousand times slower.
     """
     q = random_periodic_element(random.Random(6), 6)

@@ -19,11 +19,11 @@ from odofull import (
     decompose_pnp,
     factor_periodic_into_involutions,
     induce,
+    normal_form,
     positivize,
     random_element,
     transposition,
 )
-from odofull.factor import _rotated
 from odofull.verify import random_clopen, random_periodic_element
 
 
@@ -67,7 +67,8 @@ CONSTRUCTIONS = {
     "induce": lambda rng, d: [induce(_element(rng, d), random_clopen(rng, d)).element],
     "transposition": _transposition,
     "decompose_pnp": lambda rng, d: list(decompose_pnp(_element(rng, d))),
-    "rotated": lambda rng, d: [_rotated(random_periodic_element(rng, d), rng.randint(-9, 9))],
+    # w p and p^-1, or w itself when it is periodic
+    "normal_form": lambda rng, d: [f.element for f in normal_form(_element(rng, d)).word[:-1]],
     "involutions": lambda rng, d: [
         f.element for f in factor_periodic_into_involutions(random_periodic_element(rng, d)).word
     ],

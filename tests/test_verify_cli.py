@@ -240,17 +240,17 @@ def test_cli_word_length_obeys_depth_cap(monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)["word"]) == 8
     assert main(["factor-positive", odometer_json(9)]) == 2
     assert "word of 9 factors exceeds cap 2**3" in capsys.readouterr().err
-    # one peel of T, then k - 1 periodic factors, then the odometer power
-    assert main(["normal-form", odometer_json(15, 1), "--format", "json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["word"]) == 8
-    assert main(["normal-form", odometer_json(17, 1)]) == 2
-    assert "word of 9 factors exceeds cap 2**3" in capsys.readouterr().err
+    # the word cap binds factor-positive only: a normal form has at most 3 factors
+    for cocycle in ([15, 1], [17, 1]):
+        assert main(["normal-form", odometer_json(*cocycle), "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["word"]) <= 3
 
 
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["normal-form", odometer_json(1999999999, 1)], 2),
+        # [periodic w = [999999999, -999999999], T^(10^9)]
+        (["normal-form", odometer_json(1999999999, 1), "--format", "json"], 0),
         (["factor-positive", odometer_json(1000000000)], 2),
         (["normal-form", odometer_json(1000000000), "--format", "json"], 0),
     ],
@@ -264,7 +264,23 @@ def test_cli_huge_index_returns_at_once(argv, code):
     assert time.perf_counter() - start < 1
     assert done.returncode == code, done.stderr
     if code == 0:
-        assert json.loads(done.stdout)["word"] == [{"kind": "power_of_T", "power": 10**9}]
+        *periodic, power = json.loads(done.stdout)["word"]
+        assert len(periodic) <= 1 and all(f["kind"] == "periodic" for f in periodic)
+        assert power == {"kind": "power_of_T", "power": 10**9}
+
+
+def test_cli_normal_form_of_a_random_depth_16_element_returns_at_once(tmp_path):
+    source = tmp_path / "u.json"
+    source.write_text(odofull.element_to_json(odofull.random_element(16, 2, seed=16)))
+    env = {**os.environ, "PYTHONPATH": str(Path(odofull.__file__).parents[1])}
+    env.pop("ERGO_DEPTH_CAP", None)
+    start = time.perf_counter()
+    command = [sys.executable, "-m", "odofull.cli", "normal-form", str(source), "--format", "json"]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 0, done.stderr
+    cert = json.loads(done.stdout)
+    assert cert["verified"] is True and len(cert["word"]) <= 3
 
 
 def test_cli_huge_dyadic_exponent_is_a_parse_error(monkeypatch, capsys):
@@ -305,7 +321,7 @@ def test_cli_parser_is_cached_and_resolves_names_per_call(monkeypatch, capsys):
 def test_cli_invariant_failure_exits_three(monkeypatch, capsys):
     # A return map to the whole space, whatever set is asked for.
     monkeypatch.setattr(factor, "induce", lambda u, subset: induced.induce(u, ClopenSet.full()))
-    assert main(["normal-form", TWO_RUNS, "--format", "json"]) == 3
+    assert main(["factor-positive", TWO_RUNS, "--format", "json"]) == 3
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
@@ -315,7 +331,7 @@ def test_invariant_checks_survive_optimized_mode():
         "from odofull import ClopenSet, factor, induced\n"
         "from odofull.cli import main\n"
         "factor.induce = lambda u, subset: induced.induce(u, ClopenSet.full())\n"
-        f"sys.exit(main(['normal-form', {TWO_RUNS!r}]))\n"
+        f"sys.exit(main(['factor-positive', {TWO_RUNS!r}]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(odofull.__file__).parents[1])}
     done = subprocess.run(
