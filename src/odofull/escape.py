@@ -4,7 +4,8 @@ The escape time of a point of ``A`` is the least number of odometer steps,
 forward or backward, that leaves ``A``.  Return times always integrate to
 one, but escape integrals can be made arbitrarily large on sets of
 arbitrarily small measure; :func:`escape_tower_family` realizes that
-mechanism exactly with dyadic tower heights.
+mechanism exactly with dyadic tower heights.  Both read a set as its
+maximal runs of members; the family sums each run in closed form.
 """
 
 from __future__ import annotations
@@ -51,6 +52,20 @@ class EscapeResult:
         return self.integral is INFINITE
 
 
+def _runs(subset: ClopenSet) -> list[tuple[int, int]]:
+    """Maximal runs ``(a, b)`` of consecutive members ``a .. b`` of a set that is not full.
+
+    A run through position 0 is one cyclic run, tracked past the table end.
+    """
+    size = 1 << subset.depth
+    runs = [(m.start(), m.end() - 1) for m in _RUN.finditer(unpack(subset.bits, size))]
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == size - 1:
+        first = runs.pop(0)
+        last = runs.pop()
+        runs.append((last[0], first[1] + size))
+    return runs
+
+
 def escape_time(subset: ClopenSet) -> EscapeResult:
     """Escape time table of ``subset`` under the odometer.
 
@@ -67,17 +82,9 @@ def escape_time(subset: ClopenSet) -> EscapeResult:
 
     depth = subset.depth
     size = 1 << depth
-    flags = unpack(subset.bits, size)
-    runs = [(m.start(), m.end() - 1) for m in _RUN.finditer(flags)]
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == size - 1:
-        # one cyclic run through position 0, tracked past the table end
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], first[1] + size))
-
     times = {}
     total = 0
-    for a, b in runs:
+    for a, b in _runs(subset):
         for s in range(a, b + 1):
             tau = min(s - a + 1, b - s + 1)
             times[s % size] = tau
@@ -100,8 +107,9 @@ def escape_tower_family(m_max: int) -> tuple[EscapeRow, ...]:
     odometer tower over the base cylinder, i.e. prefixes ``0 .. 4**m - 1``
     at depth ``3m``.  The measures ``2**-m`` shrink geometrically while the
     escape integrals grow without bound: escape from a run of ``K``
-    consecutive levels costs ``min(s + 1, K - s)`` steps, a sum quadratic
-    in ``K``.
+    consecutive levels costs ``min(s + 1, K - s)`` steps, which sum to
+    ``h (K + 1 - h)`` with ``h = (K + 1) // 2``, quadratic in ``K``.  Each
+    row is that sum over the runs of its set, with no per-level work.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -111,7 +119,6 @@ def escape_tower_family(m_max: int) -> tuple[EscapeRow, ...]:
     for m in range(1, m_max + 1):
         depth = 3 * m
         levels = ClopenSet._trusted(depth, (1 << 4**m) - 1)
-        rows.append(
-            EscapeRow(m, depth, levels.measure(), escape_time(levels).integral)
-        )
+        total = sum(h * (b - a + 2 - h) for a, b in _runs(levels) for h in [(b - a + 2) // 2])
+        rows.append(EscapeRow(m, depth, levels.measure(), Dyadic(total, levels.depth)))
     return tuple(rows)

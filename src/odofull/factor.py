@@ -6,23 +6,25 @@ the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
 
 One loop, ``_peel``, splits a positive element into runs of equal return
-maps ``Q``; each run is one quotient of the remainder by ``Q**count``,
-with no inverse table.  ``factor_positive`` writes each run's support
-once per peel, so its word holds the index many factors, at most
-``2**depth_cap()`` of them.  ``normal_form`` does not peel: it writes
-every element as at most two periodic factors and an odometer power, in
-a constant number of table passes.
+maps in a few list passes per run, with no table.  ``factor_positive``
+writes each run's support once per peel, so its word holds the index many
+factors, at most ``2**depth_cap()`` of them; a word recomposes with one
+closed-form power per run of equal factors.  ``normal_form`` does not
+peel: it writes every element as at most two periodic factors and an
+odometer power, in a constant number of table passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, groupby
+from operator import not_
 from typing import NamedTuple, Union
 
 from .clopen import ClopenSet, check_word_length, pack
 from .element import TRIVIAL, FullGroupElement
-from .errors import InvariantError, NotAlmostPositiveError, NotPeriodicError, NotPositiveError
+from .errors import EmptySetError, InvariantError, NotAlmostPositiveError, NotPeriodicError
+from .errors import NotPositiveError
 from .induced import induce
 
 # -- certificate ------------------------------------------------------------
@@ -35,8 +37,22 @@ class InducedFactor:
     domain: ClopenSet
     kind = "induced_on"
 
-    def as_element(self) -> FullGroupElement:
-        return induce(FullGroupElement.odometer(), self.domain).element
+    def as_element(self, count: int = 1) -> FullGroupElement:
+        """The ``count``-th power of the return map, in one pass over the members.
+
+        The odometer meets the members ``m_0 < ... < m_{c-1}`` in ascending
+        order, ``c`` per ``N = 2**depth`` steps, so with ``q, r = divmod(count,
+        c)`` the power steps ``m_{(i+r) mod c} - m_i + N (q + [i + r >= c])``.
+        """
+        members = self.domain.prefixes()
+        if not members:
+            raise EmptySetError("a return map needs a nonempty set")
+        size, c = 1 << self.domain.depth, len(members)
+        q, r = divmod(count, c)
+        table = [0] * size
+        for i, m in enumerate(members, r):
+            table[m] = members[i % c] - m + size * (q + i // c)
+        return FullGroupElement._trusted(self.domain.depth, table)
 
 
 @dataclass(frozen=True)
@@ -44,8 +60,8 @@ class PeriodicFactor:
     element: FullGroupElement
     kind = "periodic"
 
-    def as_element(self) -> FullGroupElement:
-        return self.element
+    def as_element(self, count: int = 1) -> FullGroupElement:
+        return self.element**count
 
 
 @dataclass(frozen=True)
@@ -53,8 +69,8 @@ class OdometerPowerFactor:
     power: int
     kind = "power_of_T"
 
-    def as_element(self) -> FullGroupElement:
-        return FullGroupElement.odometer(self.power)
+    def as_element(self, count: int = 1) -> FullGroupElement:
+        return FullGroupElement.odometer(self.power * count)
 
 
 WordFactor = Union[InducedFactor, PeriodicFactor, OdometerPowerFactor]
@@ -69,7 +85,7 @@ class FactorizationCertificate:
     def compose_word(self) -> FullGroupElement:
         out = FullGroupElement.identity()
         for factor, run in groupby(self.word):
-            out = out * factor.as_element() ** sum(1 for _ in run)
+            out = out * factor.as_element(sum(1 for _ in run))
         return out
 
 
@@ -168,46 +184,59 @@ def positivize(u: FullGroupElement) -> Positivized:
 # -- positive elements as products of return maps ------------------------------
 
 
-def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, FullGroupElement, int]]:
-    """Runs ``(support, return map, count)`` of the peels of a positive element.
+def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, int]]:
+    """Runs ``(support, count)`` of the peels of a positive element.
 
     A peel removes the odometer return map ``Q`` to the remainder's
     support: the remainder stays positive and its index drops by one
     (every nonempty clopen set meets the one odometer cycle), so ``u`` is
     the product of the index many return maps in reverse peel order.  A
-    run is a maximal stretch of peels with one support and one ``Q``.
+    run is a maximal stretch of peels with one support.
 
-    Closed form: let the remainder ``R`` have table ``n`` at depth ``d``,
-    ``N = 2**d``, and support ``S`` of ``c`` cylinders, ``rank(s)`` of them
-    below ``s``.  The odometer meets ``S`` in ascending order, ``c`` per
-    ``N`` steps, so in returns to ``S``, ``Q`` steps one and ``R``, which
-    permutes ``S``, steps ``rho(s) = (s + n(s)) // N * c + rank((s + n(s))
-    % N) - rank(s) >= 1``.  Then ``k`` peels ``R Q^-k`` step
-    ``rho(Q^-k s) - k``, nowhere zero exactly while ``k < min rho``: a run
-    is ``min rho`` peels, one quotient ``R (Q^k)^-1``.  Full support:
-    ``Q = T, rho = n``.
+    Return coordinates: let the remainder ``R`` have support members
+    ``m_0 < ... < m_{c-1}`` at the depth ``d`` of ``u``, ``N = 2**d``.  The
+    odometer meets them in ascending order, ``c`` per ``N`` steps, so in
+    returns to the support ``Q`` steps one and ``R`` steps ``rho[j] >= 1``
+    from ``m_j``: ``rho[j] = t // N * c + rank(t % N) - j`` for ``t = m_j +
+    n(m_j)``, ``rank(s)`` members below ``s``.  ``k`` peels ``R Q^-k`` step
+    ``rho'[j] = rho[(j - k) mod c] - k``, nowhere zero exactly while ``k <
+    min rho``: a run is ``min rho`` peels.  The next support keeps the
+    positions ``J`` where ``rho'`` is nonzero, and in returns to it ``j``
+    steps ``t // c * |J| + rank'(t % c) - rank'(j)`` for ``t = j +
+    rho'[j]``, ``rank'`` counting kept positions: a few passes over ``c``
+    entries per run, with no table, composition or orbit walk.
 
     Nesting: ``Q`` and the remainder fix every point off the support, so
     the next remainder does too.  Run supports are thus strictly nested
     unions of depth-``d`` cylinders (no factor is deeper than ``u``), at
-    most ``2**d`` of them; nesting and the count sum are checked.
+    most ``2**d`` of them; their shrinking and the count sum are checked.
     """
-    odometer, runs, remainder = FullGroupElement.odometer(), [], u
-    while not remainder.is_identity:
-        support = remainder.support()
-        if runs and (support == runs[-1][0] or not (support - runs[-1][0]).is_empty):
-            raise InvariantError(f"peel support {support!r} is not inside {runs[-1][0]!r}")
-        size, table = 1 << remainder.depth, remainder.cocycle
-        rank = list(accumulate(map(bool, table), initial=0))
+    size, table = 1 << u.depth, u.cocycle
+    flags = bytearray(map(bool, table))
+    members = list(compress(range(size), flags))
+    rank = list(accumulate(flags, initial=0))
+    c = len(members)
+    rho = [
+        (s + n) // size * c + rank[(s + n) % size] - j
+        for j, (s, n) in enumerate(zip(members, compress(table, flags)))
+    ]
+    runs = []
+    while rho:
+        k = min(rho)
+        runs.append((ClopenSet._trusted(u.depth, pack(flags)), k))
+        shift = c - k % c
+        rho = [x - k for x in rho[shift:] + rho[:shift]]
+        kept = list(map(bool, rho))
+        rank = list(accumulate(kept, initial=0))
+        if rank[-1] >= c:
+            raise InvariantError(f"peel of {k} leaves all {c} support cylinders moved")
+        rho = [(j + x) // c * rank[-1] + rank[(j + x) % c] - rank[j] for j, x in enumerate(rho) if x]
+        for s in compress(members, map(not_, kept)):
+            flags[s] = 0
+        members = list(compress(members, kept))
         c = rank[-1]
-        count = min(
-            (s + n) // size * c + rank[(s + n) % size] - rank[s] for s, n in enumerate(table) if n
-        )
-        return_map = induce(odometer, support).element
-        runs.append((support, return_map, count))
-        remainder = remainder._over(return_map**count)
-    if sum(k for _, _, k in runs) != u.index():
-        raise InvariantError(f"peel counts sum to {sum(k for _, _, k in runs)}, not {u.index()}")
+    if sum(k for _, k in runs) != u.index():
+        raise InvariantError(f"peel counts sum to {sum(k for _, k in runs)}, not {u.index()}")
     return runs
 
 
@@ -220,7 +249,7 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
     if any(n < 0 for n in u.cocycle):
         raise NotPositiveError("element has a negative step value")
     check_word_length(u.index())
-    return _certified(u, (f for s, _, k in reversed(_peel(u)) for f in [InducedFactor(s)] * k))
+    return _certified(u, (f for s, k in reversed(_peel(u)) for f in [InducedFactor(s)] * k))
 
 
 # -- normal form ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from odofull import (
     escape_time,
     escape_tower_family,
 )
+from odofull.escape import _runs
 
 
 def escape_oracle(subset: ClopenSet) -> dict:
@@ -114,6 +115,25 @@ def test_tower_family_closed_form():
     for row in escape_tower_family(4):
         K = 4**row.m
         assert row.integral == Dyadic((K // 2) * (K // 2 + 1), 3 * row.m)
+
+
+def test_tower_family_rows_sum_runs_in_closed_form():
+    for row in escape_tower_family(5):
+        levels = ClopenSet.from_prefixes(row.depth, range(4**row.m))
+        assert row.integral == escape_time(levels).integral
+    for K in range(1, 65):
+        h = (K + 1) // 2
+        assert h * (K + 1 - h) == sum(min(s + 1, K - s) for s in range(K))
+    # the closed form over the runs of any set that is not full, wrapping runs included
+    rng = random.Random(1902)
+    for _ in range(200):
+        depth = rng.randint(1, 8)
+        subset = ClopenSet(depth, rng.getrandbits(1 << depth) or 1)
+        if subset.is_full:
+            continue
+        runs = [b - a + 1 for a, b in _runs(subset)]
+        total = sum((K + 1) // 2 * (K + 1 - (K + 1) // 2) for K in runs)
+        assert Dyadic(total, subset.depth) == escape_time(subset).integral
 
 
 def test_tower_family_matches_oracle_at_small_depth():

@@ -259,10 +259,11 @@ def test_peel_runs_expand_to_the_one_peel_oracle():
     cases = 0
     for u in peel_run_cases():
         runs = _peel(u)
-        assert [(s, r) for s, r, count in runs for _ in range(count)] == peel_one_at_a_time(u)
-        assert sum(count for _, _, count in runs) == u.index()
-        assert all(count > 0 for _, _, count in runs)
-        for (outer, _, _), (inner, _, _) in zip(runs, runs[1:]):
+        expanded = [(s, r) for s, count in runs for r in [induce(T, s).element] * count]
+        assert expanded == peel_one_at_a_time(u)
+        assert sum(count for _, count in runs) == u.index()
+        assert all(count > 0 for _, count in runs)
+        for (outer, _), (inner, _) in zip(runs, runs[1:]):
             assert inner != outer and (inner - outer).is_empty
         assert len(runs) <= 1 << u.depth
         cases += 1
@@ -273,9 +274,9 @@ def test_full_support_run_is_one_rotation():
     # k peels of T leave n(s - k) - k; min n = 5 of them have full support
     u = E(2, [5, 9, 13, 5])
     runs = _peel(u)
-    assert runs[0] == (ClopenSet.full(), T, 5)
+    assert runs[0] == (ClopenSet.full(), 5)
     assert u * T**-5 == E(2, [0, 0, 4, 8])
-    assert [(s, count) for s, _, count in runs[1:]] == [
+    assert runs[1:] == [
         (ClopenSet.from_prefixes(2, {2, 3}), 2),
         (ClopenSet.from_prefixes(2, {3}), 1),
     ]
@@ -285,27 +286,52 @@ def test_partial_run_is_one_composition():
     # [2k - 1, 1]: T once, then k - 1 peels of the return map [0, 2] to prefix 1
     k = 10**9
     runs = _peel(E(1, [2 * k - 1, 1]))
-    assert runs == [(ClopenSet.full(), T, 1), (ClopenSet.from_prefixes(1, {1}), E(1, [0, 2]), k - 1)]
+    assert runs == [(ClopenSet.full(), 1), (ClopenSet.from_prefixes(1, {1}), k - 1)]
+    assert factor.InducedFactor(runs[1][0]).as_element() == E(1, [0, 2])
 
 
-def test_peel_divides_each_run_without_an_inverse(monkeypatch):
-    u = E(1, [3, 1]) * T**40
-    expected = _peel(u)
-    inverse = E.inverse
+def test_peel_builds_no_table_and_walks_no_orbit(monkeypatch):
+    rng = random.Random(19)
+    cases = [E(1, [3, 1]) * T**40]
+    cases += [random_positive(rng, depth, rng.randint(0, 3)) for depth in range(11)]
+    cases += [random_partial_positive(rng, depth, 5) for depth in range(1, 11)]
+    expected = [_peel(u) for u in cases]
     calls = []
-    monkeypatch.setattr(E, "inverse", lambda a: calls.append(a) or inverse(a))
-    runs = _peel(u)
-    assert runs == expected and len(runs) > 1 and all(r.depth for _, r, _ in runs[1:])
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
+
+    for name in ("__mul__", "_over", "inverse", "__pow__"):
+        counting(E, name)
+    counting(factor, "induce")
+    assert [_peel(u) for u in cases] == expected
+    assert len(expected[0]) > 1 and all(expected[-10:])
     assert not calls
+
+
+def test_return_power_closed_form_matches_induce():
+    rng = random.Random(1901)
+    for _ in range(400):
+        depth = rng.randint(0, 7)
+        domain = ClopenSet(depth, rng.getrandbits(1 << depth) or 1)
+        return_map = induce(T, domain).element
+        for k in (0, 1, 2, 3, 7, 50, 1001):
+            assert factor.InducedFactor(domain).as_element(k) == return_map**k, (domain, k)
 
 
 def test_compose_word_builds_each_run_of_equal_factors_once(monkeypatch):
     cert = factor_positive(E(1, [3, 1]) * T**40)
     assert cert.verified and len(cert.word) == 42
     calls = []
-    monkeypatch.setattr(factor, "induce", lambda u, subset: calls.append(subset) or induce(u, subset))
+    as_element = factor.InducedFactor.as_element
+    monkeypatch.setattr(
+        factor.InducedFactor,
+        "as_element",
+        lambda f, count=1: calls.append((f.domain, count)) or as_element(f, count),
+    )
     assert cert.compose_word() == cert.target
-    assert calls == [ClopenSet.from_prefixes(1, {1}), ClopenSet.full()]
+    assert calls == [(ClopenSet.from_prefixes(1, {1}), 1), (ClopenSet.full(), 41)]
 
 
 # -- normal form -----------------------------------------------------------------------

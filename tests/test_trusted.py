@@ -24,6 +24,7 @@ from odofull import (
     random_element,
     transposition,
 )
+from odofull.factor import InducedFactor, _peel
 from odofull.verify import random_clopen, random_periodic_element
 
 
@@ -73,6 +74,18 @@ CONSTRUCTIONS = {
         f.element for f in factor_periodic_into_involutions(random_periodic_element(rng, d)).word
     ],
     "positivize": _positivized,
+    "as_element": lambda rng, d: [
+        InducedFactor(random_clopen(rng, rng.randint(0, d), nonempty=True)).as_element(
+            rng.choice((0, 1, 2, 3, 7, 50, 1001))
+        )
+    ],
+    # nonnegative steps, shifted by a few laps of the odometer
+    "peel": lambda rng, d: [
+        support
+        for support, _ in _peel(
+            random_element(d, 0, rng=rng) * FullGroupElement.odometer(rng.randint(0, 3))
+        )
+    ],
     "random_periodic_element": lambda rng, d: [random_periodic_element(rng, d)],
     "or": lambda rng, d: [_set(rng, d) | _set(rng, d)],
     "and": lambda rng, d: [_set(rng, d) & _set(rng, d)],

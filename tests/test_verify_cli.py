@@ -12,7 +12,7 @@ import pytest
 
 import odofull
 from odofull import (
-    ClopenSet, Dyadic, FullGroupElement, InvariantError, cli, element, factor, induced, run_verify,
+    Dyadic, FullGroupElement, InvariantError, cli, element, factor, induced, run_verify,
     serialize, verify,
 )
 from odofull.cli import build_parser, main
@@ -319,8 +319,9 @@ def test_cli_parser_is_cached_and_resolves_names_per_call(monkeypatch, capsys):
 
 
 def test_cli_invariant_failure_exits_three(monkeypatch, capsys):
-    # A return map to the whole space, whatever set is asked for.
-    monkeypatch.setattr(factor, "induce", lambda u, subset: induced.induce(u, ClopenSet.full()))
+    # An index one too large, so the peel counts cannot sum to it.
+    index = FullGroupElement.index
+    monkeypatch.setattr(FullGroupElement, "index", lambda u: index(u) + 1)
     assert main(["factor-positive", TWO_RUNS, "--format", "json"]) == 3
     assert capsys.readouterr().err.startswith("internal error: ")
 
@@ -328,9 +329,10 @@ def test_cli_invariant_failure_exits_three(monkeypatch, capsys):
 def test_invariant_checks_survive_optimized_mode():
     script = (
         "import sys\n"
-        "from odofull import ClopenSet, factor, induced\n"
+        "from odofull import FullGroupElement\n"
         "from odofull.cli import main\n"
-        "factor.induce = lambda u, subset: induced.induce(u, ClopenSet.full())\n"
+        "index = FullGroupElement.index\n"
+        "FullGroupElement.index = lambda u: index(u) + 1\n"
         f"sys.exit(main(['factor-positive', {TWO_RUNS!r}]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(odofull.__file__).parents[1])}
@@ -339,6 +341,7 @@ def test_invariant_checks_survive_optimized_mode():
     )
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("internal error: ")
+    assert "peel counts sum to 2, not 3" in done.stderr
 
 
 def test_index_of_a_corrupt_table_raises_invariant_error():
