@@ -45,12 +45,6 @@ def check_depth(depth: int) -> None:
         raise DepthCapError(f"depth {depth} exceeds cap {cap}")
 
 
-def check_word_length(length: int) -> None:
-    """A word holds at most ``2**depth_cap()`` factors, the entries of one table."""
-    if length > 1 << depth_cap():
-        raise DepthCapError(f"word of {length} factors exceeds cap 2**{depth_cap()}")
-
-
 _TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .clopen import ClopenSet, depth_cap, unpack
+from .clopen import ClopenSet, check_depth, unpack
 from .dyadic import Dyadic
-from .errors import DepthCapError, EmptySetError
+from .errors import EmptySetError
 
 
 class _Infinite:
@@ -113,8 +113,7 @@ def escape_tower_family(m_max: int) -> tuple[EscapeRow, ...]:
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if 3 * m_max > depth_cap():
-        raise DepthCapError(f"family needs depth {3 * m_max}, cap is {depth_cap()}")
+    check_depth(3 * m_max)
     rows = []
     for m in range(1, m_max + 1):
         depth = 3 * m

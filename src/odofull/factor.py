@@ -8,10 +8,11 @@ the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 One loop, ``_peel``, splits a positive element into runs of equal return
 maps in a few list passes per run, with no table.  ``factor_positive``
 writes each run's support once per peel, so its word holds the index many
-factors, at most ``2**depth_cap()`` of them; a word recomposes with one
-closed-form power per run of equal factors.  ``normal_form`` does not
-peel: it writes every element as at most two periodic factors and an
-odometer power, in a constant number of table passes.
+factors; it refuses an index above ``2**depth_cap()``, the entries of one
+table, before it peels.  A word recomposes with one closed-form power per
+run of equal factors.  ``normal_form`` does not peel: it writes every
+element as at most two periodic factors and an odometer power, in a
+constant number of table passes.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from itertools import accumulate, compress, groupby
 from operator import not_
 from typing import NamedTuple, Union
 
-from .clopen import ClopenSet, check_word_length, pack
+from .clopen import ClopenSet, depth_cap, pack
 from .element import TRIVIAL, FullGroupElement
-from .errors import EmptySetError, InvariantError, NotAlmostPositiveError, NotPeriodicError
-from .errors import NotPositiveError
+from .errors import DepthCapError, EmptySetError, InvariantError, NotAlmostPositiveError
+from .errors import NotPeriodicError, NotPositiveError
 from .induced import induce
 
 # -- certificate ------------------------------------------------------------
@@ -248,7 +249,9 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
     """
     if any(n < 0 for n in u.cocycle):
         raise NotPositiveError("element has a negative step value")
-    check_word_length(u.index())
+    index = u.index()
+    if index > 1 << depth_cap():  # a word holds at most the entries of one table
+        raise DepthCapError(f"word of {index} factors exceeds cap 2**{depth_cap()}")
     return _certified(u, (f for s, k in reversed(_peel(u)) for f in [InducedFactor(s)] * k))
 
 

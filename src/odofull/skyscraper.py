@@ -11,13 +11,14 @@ not represented -- no finite table could be ergodic -- and total mass may
 stay below one; reports state the deficit explicitly.
 
 Elements store only their nonzero shifts, so towers may have millions of
-levels as long as few of them move.
+levels as long as few of them move.  Shifts are checked once, where they
+enter through :meth:`TowerElement.from_moves`; elements derived from valid
+ones are built without the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .clopen import check_depth
@@ -74,42 +75,38 @@ class TowerSystem:
         return f"TowerSystem({[(t.height, str(t.base_measure)) for t in self.towers]})"
 
 
-def _validated_moves(tower: Tower, t: int, moves: dict[int, int]) -> tuple:
+def _check_moves(tower: Tower, t: int, moves: dict[int, int]) -> None:
     """Range and bijectivity checks for one tower's nonzero shifts.
 
     The shifted levels must stay inside the tower, and their images must be
     exactly the moved levels: an image landing on a fixed level would give
-    that level two preimages.  Moved levels inside the tower whose images
-    make up the same set imply both, so valid moves pass in a few C passes;
-    anything else is rescanned move by move to name the fault.
+    that level two preimages.
     """
-    levels = sorted(moves)
-    inside = not moves or 0 <= levels[0] and levels[-1] < tower.height
-    if not (inside and set(map(add, moves, moves.values())) == moves.keys()):
-        images = set()
-        for i in levels:
-            target = i + moves[i]
-            if not 0 <= i < tower.height:
-                raise ValueError(f"tower {t}: no level {i}")
-            if not 0 <= target < tower.height:
-                raise CrossesTopError(
-                    f"tower {t}: level {i} shifted to {target}, outside"
-                    f" [0, {tower.height})"
-                )
-            if target in images:
-                raise NotBijectiveError(f"tower {t}: two levels shifted to {target}")
-            images.add(target)
-        stray = min(images ^ set(moves))
+    images = set()
+    for i, n in sorted(moves.items()):
+        if not 0 <= i < tower.height:
+            raise ValueError(f"tower {t}: no level {i}")
+        target = i + n
+        if not 0 <= target < tower.height:
+            raise CrossesTopError(
+                f"tower {t}: level {i} shifted to {target}, outside"
+                f" [0, {tower.height})"
+            )
+        if target in images:
+            raise NotBijectiveError(f"tower {t}: two levels shifted to {target}")
+        images.add(target)
+    if images != moves.keys():
+        stray = min(images ^ moves.keys())
         raise NotBijectiveError(f"tower {t}: level {stray} has colliding preimages")
-    return tuple(zip(levels, map(moves.__getitem__, levels)))
 
 
 class TowerElement:
     """A level-shift element of a skyscraper system.
 
-    Construct with :meth:`from_moves` from one mapping of the nonzero
-    shifts per tower.  Within each tower the shifted levels must stay in
-    range and permute the tower's levels.
+    Construct with :meth:`from_moves` from one mapping of shifts per tower:
+    zero shifts are dropped, and the rest must keep their levels in range
+    and permute them.  Products, inverses, the identity and the crossing
+    involutions are valid by construction and skip the checks.
     """
 
     __slots__ = ("system", "moves")
@@ -118,17 +115,22 @@ class TowerElement:
     def from_moves(cls, system: TowerSystem, moves: Sequence[dict[int, int]]) -> "TowerElement":
         if len(moves) != len(system.towers):
             raise ValueError("one move table per tower expected")
-        element = cls.__new__(cls)
-        element.system = system
-        element.moves = tuple(
-            _validated_moves(tower, t, {i: n for i, n in m.items() if n} if 0 in m.values() else m)
-            for t, (tower, m) in enumerate(zip(system.towers, moves))
-        )
-        return element
+        moves = [{i: n for i, n in m.items() if n} for m in moves]
+        for t, (tower, m) in enumerate(zip(system.towers, moves)):
+            _check_moves(tower, t, m)
+        return cls._trusted(system, moves)
+
+    @classmethod
+    def _trusted(cls, system: TowerSystem, moves: Sequence[dict[int, int]]) -> "TowerElement":
+        """Element of one dict per tower of nonzero shifts that need no check."""
+        self = object.__new__(cls)
+        self.system = system
+        self.moves = tuple(tuple(sorted(m.items())) for m in moves)
+        return self
 
     @classmethod
     def identity(cls, system: TowerSystem) -> "TowerElement":
-        return cls.from_moves(system, [{} for _ in system.towers])
+        return cls._trusted(system, [{} for _ in system.towers])
 
     @property
     def is_identity(self) -> bool:
@@ -150,12 +152,10 @@ class TowerElement:
                 if total:
                     combined[i] = total
             moves.append(combined)
-        return TowerElement.from_moves(self.system, moves)
+        return TowerElement._trusted(self.system, moves)
 
     def inverse(self) -> "TowerElement":
-        return TowerElement.from_moves(
-            self.system, [{i + n: -n for i, n in m} for m in self.moves]
-        )
+        return TowerElement._trusted(self.system, [{i + n: -n for i, n in m} for m in self.moves])
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement):
@@ -230,7 +230,7 @@ def counterexample_element(n: int) -> TowerElement:
     jump = height // 2
     spacing = 2**n
     moves = dict(zip(range(0, height, spacing), [jump] * 2 ** (n - 1) + [-jump] * 2 ** (n - 1)))
-    return TowerElement.from_moves(system, [moves])
+    return TowerElement._trusted(system, [moves])
 
 
 @dataclass(frozen=True)

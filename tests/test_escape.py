@@ -10,9 +10,11 @@ from odofull import (
     Dyadic,
     EmptySetError,
     INFINITE,
+    escape,
     escape_time,
     escape_tower_family,
 )
+from odofull.cli import main
 from odofull.escape import _runs
 
 
@@ -147,3 +149,16 @@ def test_tower_family_depth_cap():
         escape_tower_family(9)
     with pytest.raises(ValueError):
         escape_tower_family(0)
+
+
+def test_tower_family_checks_the_depth_cap_before_any_row(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(escape, "_runs", lambda levels: runs.append(levels) or _runs(levels))
+    monkeypatch.setenv("ERGO_DEPTH_CAP", "5")
+    with pytest.raises(DepthCapError, match="^depth 6 exceeds cap 5$"):
+        escape_tower_family(2)
+    assert runs == []
+    assert len(escape_tower_family(1)) == 1 and len(runs) == 1
+    monkeypatch.delenv("ERGO_DEPTH_CAP")
+    assert main(["escape-family", "--max-m", "9"]) == 2
+    assert capsys.readouterr().err == "error: depth 27 exceeds cap 24\n"

@@ -1,5 +1,6 @@
 """Skyscraper systems, within-tower elements, exact metrics."""
 
+import json
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from odofull import (
     MassExceedsOneError,
     NotBijectiveError,
     NotInLevelSetError,
+    ParseError,
     SystemMismatchError,
     TowerElement,
     TowerSystem,
     counterexample_element,
     counterexample_report,
+    parse_element,
     tower_metric,
 )
 
@@ -111,6 +114,100 @@ def test_sparse_and_dense_construction_agree():
     sparse = TowerElement.from_moves(system, [{0: 4, 4: -4}, {0: 1, 1: -1}])
     assert dense == sparse
     assert dense.moves == (((0, 4), (4, -4)), ((0, 1), (1, -1)))
+
+
+def _per_move_scan(system, tables):
+    """The move-by-move range and bijectivity scan, as a reference for the messages."""
+    canonical = []
+    for t, (tower, table) in enumerate(zip(system.towers, tables)):
+        shifts = {i: n for i, n in table.items() if n}
+        images = set()
+        for i, n in sorted(shifts.items()):
+            if not 0 <= i < tower.height:
+                raise ValueError(f"tower {t}: no level {i}")
+            if not 0 <= i + n < tower.height:
+                raise CrossesTopError(
+                    f"tower {t}: level {i} shifted to {i + n}, outside [0, {tower.height})"
+                )
+            if i + n in images:
+                raise NotBijectiveError(f"tower {t}: two levels shifted to {i + n}")
+            images.add(i + n)
+        if images != set(shifts):
+            stray = min(images ^ set(shifts))
+            raise NotBijectiveError(f"tower {t}: level {stray} has colliding preimages")
+        canonical.append(tuple(sorted(shifts.items())))
+    return tuple(canonical)
+
+
+def _random_move_table(rng, height):
+    """A permutation of random levels, then up to two faults and some zero shifts."""
+    levels = rng.sample(range(height), rng.randint(0, height))
+    table = {i: j - i for i, j in zip(levels, rng.sample(levels, len(levels)))}
+    for fault in rng.sample(("none", "level", "range", "merge", "fixed"), rng.randint(1, 2)):
+        moved = [i for i in table if 0 <= i < height]
+        if fault == "level":
+            table[rng.choice((-1 - rng.randrange(3), height + rng.randrange(3)))] = rng.randint(-2, 2)
+        elif fault == "range" and moved:
+            i = rng.choice(moved)
+            table[i] = rng.choice((height + rng.randrange(3), -1 - rng.randrange(3))) - i
+        elif fault == "merge" and len(moved) > 1:
+            i, j = rng.sample(moved, 2)
+            table[i] = j + table[j] - i
+        elif fault == "fixed" and moved and len(moved) < height:
+            i = rng.choice(moved)
+            table[i] = rng.choice([k for k in range(height) if k not in table]) - i
+    for k in rng.sample(range(height), rng.randint(0, min(3, height))):
+        table.setdefault(k, 0)
+    return table
+
+
+def _tower_json(system, tables, dense):
+    towers = []
+    for tower, table in zip(system.towers, tables):
+        entry = {"height": tower.height, "base_measure": str(tower.base_measure)}
+        if dense:
+            entry["shifts"] = [table.get(k, 0) for k in range(tower.height)]
+        else:
+            entry["moves"] = [[i, n] for i, n in table.items()]
+        towers.append(entry)
+    return json.dumps({"system": "skyscraper", "towers": towers})
+
+
+def test_move_faults_are_named_as_by_the_per_move_scan():
+    rng = random.Random(2001)
+    seen = dict.fromkeys(("no level", "top", "bottom", "two levels", "colliding", "valid"), 0)
+    zero_shifts = 0
+    for _ in range(400):
+        system = TowerSystem([(rng.randint(1, 10), Dyadic(1, 5)) for _ in range(rng.randint(1, 2))])
+        tables = [_random_move_table(rng, tower.height) for tower in system.towers]
+        zero_shifts += any(0 in table.values() for table in tables)
+        forms = [_tower_json(system, tables, dense=False)]
+        if all(0 <= i < tower.height for tower, table in zip(system.towers, tables) for i in table):
+            forms.append(_tower_json(system, tables, dense=True))
+        try:
+            canonical = _per_move_scan(system, tables)
+        except (ValueError, CrossesTopError, NotBijectiveError) as exc:
+            message = str(exc)
+            if isinstance(exc, CrossesTopError):
+                kind = "bottom" if "shifted to -" in message else "top"
+            else:
+                kind = next(key for key in seen if key in message)
+            seen[kind] += 1
+            with pytest.raises(type(exc)) as raised:
+                TowerElement.from_moves(system, tables)
+            assert type(raised.value) is type(exc) and str(raised.value) == message
+            for text in forms:
+                with pytest.raises((type(exc), ParseError)) as raised:
+                    parse_element(text)
+                parsed_type = ParseError if type(exc) is ValueError else type(exc)
+                assert type(raised.value) is parsed_type and str(raised.value) == message
+        else:
+            seen["valid"] += 1
+            u = TowerElement.from_moves(system, tables)
+            assert u.moves == canonical
+            assert all(parse_element(text) == u for text in forms)
+    assert min(seen.values()) >= 20, seen
+    assert zero_shifts >= 100
 
 
 def test_group_laws_random():

@@ -2,10 +2,11 @@
 constructors must accept every one of them unchanged.
 
 Each construction below builds its result through the trusted path
-(``FullGroupElement._trusted`` / ``ClopenSet._trusted``).  Rebuilding the
-result through the public constructor reruns the depth cap, length,
-integer and bijectivity checks and the minimal-depth reduction, so
-equality shows the trusted table was valid and already canonical.
+(``FullGroupElement._trusted`` / ``ClopenSet._trusted`` /
+``TowerElement._trusted``).  Rebuilding the result through the public
+constructor reruns the depth cap, length, integer, range and bijectivity
+checks and the canonical reduction, so equality shows the trusted result
+was valid and already canonical.
 """
 
 import random
@@ -14,14 +15,20 @@ import pytest
 
 from odofull import (
     ClopenSet,
+    Dyadic,
     FullGroupElement,
+    TowerElement,
+    TowerSystem,
     commutator,
+    counterexample_element,
+    counterexample_report,
     decompose_pnp,
     factor_periodic_into_involutions,
     induce,
     normal_form,
     positivize,
     random_element,
+    skyscraper,
     transposition,
 )
 from odofull.factor import InducedFactor, _peel
@@ -43,6 +50,16 @@ def _transposition(rng, depth):
     parity = rng.randrange(2)
     members = [s for s in range(1 << depth) if s % 2 == parity and rng.random() < 0.5]
     return [transposition(ClopenSet.from_prefixes(depth, members))]
+
+
+def _tower_element(rng, depth):
+    # a permutation of random levels in each of three towers of height up to 2**depth
+    system = TowerSystem([(1 << depth, Dyadic(1, depth + 2))] * 3)
+    moves = []
+    for tower in system.towers:
+        levels = rng.sample(range(tower.height), rng.randint(0, tower.height))
+        moves.append({i: j - i for i, j in zip(levels, rng.sample(levels, len(levels)))})
+    return TowerElement.from_moves(system, moves)
 
 
 def _positivized(rng, depth):
@@ -96,12 +113,18 @@ CONSTRUCTIONS = {
         ClopenSet.from_prefixes(d, [s for s in range(1 << d) if rng.random() < 0.5])
     ],
     "empty_and_full": lambda rng, d: [ClopenSet.empty(), ClopenSet.full()],
+    "tower_mul": lambda rng, d: [_tower_element(rng, d) * _tower_element(rng, d)],
+    "tower_inverse": lambda rng, d: [_tower_element(rng, d).inverse()],
+    "tower_identity": lambda rng, d: [TowerElement.identity(_tower_element(rng, d).system)],
+    "counterexample_element": lambda rng, d: [counterexample_element(d)] if d else [],
 }
 
 
 def _rebuilt(value):
     if isinstance(value, FullGroupElement):
         return FullGroupElement(value.depth, value.cocycle)
+    if isinstance(value, TowerElement):
+        return TowerElement.from_moves(value.system, [dict(m) for m in value.moves])
     return ClopenSet(value.depth, value.bits)
 
 
@@ -113,3 +136,17 @@ def test_trusted_results_pass_the_public_check(name):
         for _ in range(20):
             for value in build(rng, depth):
                 assert _rebuilt(value) == value, (name, depth, value)
+
+
+def test_derived_tower_elements_run_no_move_check(monkeypatch):
+    calls = []
+    check = skyscraper._check_moves
+    monkeypatch.setattr(skyscraper, "_check_moves", lambda *args: calls.append(args) or check(*args))
+    rng = random.Random("trusted:tower checks")
+    u, v = _tower_element(rng, 5), _tower_element(rng, 5)
+    assert len(calls) == 6  # from_moves checks each of the three towers
+    calls.clear()
+    counterexample_report(8)
+    u * v
+    u.inverse()
+    assert calls == []
