@@ -9,7 +9,8 @@ writes to stdout or ``--out``.  The parser is built once; run targets and
 encoders are looked up by name per call, so rebinding them takes effect.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
-2 on usage or parse errors, 3 when an internal invariant check fails.
+2 on usage or parse errors or when memory runs out, 3 when an internal
+invariant check fails.
 ``ERGO_DEPTH_CAP`` overrides the depth cap.
 Elements and sets are passed inline as JSON or as a path to a JSON file;
 all randomized commands default to the documented seed 0.
@@ -170,6 +171,9 @@ def main(argv=None) -> int:
         return 3
     except (OdofullError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
     return result.exit_status if isinstance(result, RunReport) else 0
 

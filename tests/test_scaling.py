@@ -15,12 +15,15 @@ import pytest
 from odofull import (
     ClopenSet,
     FullGroupElement,
+    TowerElement,
+    counterexample_element,
     escape_time,
     factor_periodic_into_involutions,
     induce,
     normal_form,
     positivize,
     random_element,
+    tower_metric,
     transposition,
 )
 from odofull.factor import _peel
@@ -28,6 +31,7 @@ from odofull.verify import random_periodic_element
 
 LOW, HIGH = 12, 16
 REPEATS = 5
+CALLS = 4  # per repeat at depth HIGH
 BOUND = 32
 
 
@@ -67,10 +71,12 @@ OPERATIONS = {
 def seconds_per_call(make) -> dict[int, float]:
     """Minimum over the repeats of the time per call at each depth.
 
-    Every repeat makes the same number of calls at depth 12 as the number
-    of entries one call at depth 16 has over one at depth 12, so both
-    depths time about the same amount of work.  The repeats alternate
-    between the depths, so a slow spell of the machine hits both.
+    Every repeat makes ``CALLS`` calls at depth 16 and, at depth 12, that
+    many times the number of entries one call at depth 16 has over one at
+    depth 12, so both depths time about the same amount of work.  Several
+    calls per repeat spread a short stall of the machine over all of them
+    rather than doubling one short call.  The repeats alternate between the
+    depths, so a slow spell of the machine hits both.
     """
     timers = {}
     for depth in (LOW, HIGH):
@@ -79,7 +85,7 @@ def seconds_per_call(make) -> dict[int, float]:
     best = dict.fromkeys(timers, float("inf"))
     for _ in range(REPEATS):
         for depth, timer in timers.items():
-            number = 1 << (HIGH - depth)
+            number = CALLS << (HIGH - depth)
             best[depth] = min(best[depth], timer.timeit(number) / number)
     return best
 
@@ -123,3 +129,24 @@ def test_peel_cost_is_flat_in_a_partial_run():
 
     ratio = seconds(10**6) / seconds(10**3)
     assert ratio < 4, f"_peel: k = 10^3 -> 10^6 costs {ratio:.1f}x"
+
+
+def test_crossing_involution_metric_cost_is_flat_in_n():
+    """The induced distance of the ``n``-th crossing involution costs the same
+    at n = 8 and n = 20.
+
+    The involution moves ``2**n`` levels in two runs, and the return map's
+    level set is the strided ``range(0, 4**n, 2**n)``, so each run is summed
+    in closed form; one lookup per moved level would make n = 20 about four
+    thousand times slower.
+    """
+
+    def seconds(n):
+        u = counterexample_element(n)
+        identity = TowerElement.identity(u.system)
+        levels = [range(0, 4**n, 2**n)]
+        timer = timeit.Timer(lambda: tower_metric(u, identity, induced_on=levels))
+        return min(timer.repeat(repeat=REPEATS, number=5))
+
+    ratio = seconds(20) / seconds(8)
+    assert ratio < 4, f"tower_metric: n = 8 -> 20 costs {ratio:.1f}x"

@@ -292,6 +292,178 @@ def test_metric_induced_counts_positions_not_levels():
     assert tower_metric(u, identity, induced_on=[[0, 4, 8]]) == Dyadic(1, 2)
 
 
+# -- runs against the per-level reference -------------------------------------------
+#
+# Elements store their moves as runs of equally spaced levels.  The functions
+# below are the per-level algorithms on plain dicts, one entry per moved level,
+# kept here as the reference the run arithmetic must reproduce.
+
+
+def _reference_product(outer: dict, inner: dict) -> dict:
+    combined = {}
+    for i in set(outer) | set(inner):
+        first = inner.get(i, 0)
+        total = first + outer.get(i + first, 0)
+        if total:
+            combined[i] = total
+    return combined
+
+
+def _reference_metric(system, a_tables, b_tables, induced_on=None) -> Dyadic:
+    total = Dyadic(0)
+    for t, (tower, a, b) in enumerate(zip(system.towers, a_tables, b_tables)):
+        if induced_on is None:
+            position = range(tower.height)
+        else:
+            ordered = sorted(set(induced_on[t]))
+            if any(not 0 <= i < tower.height for i in ordered):
+                raise ValueError(f"tower {t}: level set out of range")
+            position = {level: k for k, level in enumerate(ordered)}
+            for table in (a, b):
+                for i, n in sorted(table.items()):
+                    if i not in position or i + n not in position:
+                        raise NotInLevelSetError(
+                            f"tower {t}: move {i} -> {i + n} leaves the level set"
+                        )
+        weight = sum(
+            abs(position[i + a.get(i, 0)] - position[i + b.get(i, 0)]) for i in set(a) | set(b)
+        )
+        total = total + tower.base_measure * weight
+    return total
+
+
+def _block_swaps(rng, height, grid):
+    """A product of strided block swaps and transpositions on the levels ``grid * k``."""
+    slots = (height - 1) // grid + 1
+    table = {}
+    for _ in range(rng.randint(0, 4)):
+        # in units of grid: block A at start + k * stride, block B shift above it
+        stride, count = rng.randint(1, 3), rng.randint(1, 4)
+        shift = rng.randint(stride * (count - 1) + 1, max(slots, stride * count))
+        span = stride * (count - 1) + shift
+        if span >= slots:
+            continue
+        start = rng.randrange(slots - span)
+        swap = {}
+        for k in range(count):
+            i = grid * (start + k * stride)
+            swap[i], swap[i + grid * shift] = grid * shift, -grid * shift
+        table = _reference_product(swap, table)
+    for _ in range(rng.randint(0, 2) if slots > 1 else 0):
+        i, j = (grid * k for k in rng.sample(range(slots), 2))
+        table = _reference_product({i: j - i, j: i - j}, table)
+    return table
+
+
+def _expanded(tables):
+    return tuple(tuple(sorted(table.items())) for table in tables)
+
+
+def test_runs_match_the_per_level_reference():
+    rng = random.Random(2101)
+    strided = 0
+    for _ in range(300):
+        grid = rng.choice((1, 2, 4))
+        heights = [rng.randint(1, 40) for _ in range(rng.randint(1, 3))]
+        system = TowerSystem([(height, Dyadic(1, 8)) for height in heights])
+        a = [_block_swaps(rng, height, grid) for height in heights]
+        b = [_block_swaps(rng, height, grid) if rng.random() < 0.7 else {} for height in heights]
+        u, v = TowerElement.from_moves(system, a), TowerElement.from_moves(system, b)
+        identity = TowerElement.identity(system)
+        assert u.moves == _expanded(a) and v.moves == _expanded(b)
+        product = [_reference_product(x, y) for x, y in zip(a, b)]
+        assert (u * v).moves == _expanded(product)
+        assert u * v == TowerElement.from_moves(system, product)
+        assert hash(u * v) == hash(TowerElement.from_moves(system, product))
+        inverse = [{i + n: -n for i, n in x.items()} for x in a]
+        assert u.inverse().moves == _expanded(inverse)
+        assert u.inverse() == TowerElement.from_moves(system, inverse)
+        assert u * u.inverse() == identity
+        moved = [sorted({j for i, n in [*p.items(), *q.items()] for j in (i, i + n)}) for p, q in zip(a, b)]
+        level_sets = [
+            None,
+            [tuple(levels) for levels in moved],
+            [range(height) for height in heights],
+            [range(0, height, grid) for height in heights],
+        ]
+        fixed = [{}] * len(heights)
+        for x, y, xs, ys in ((u, v, a, b), (u, identity, a, fixed), (identity, v, fixed, b)):
+            for levels in level_sets:
+                assert tower_metric(x, y, levels) == _reference_metric(system, xs, ys, levels)
+        strided += grid > 1 and any(a)
+    assert strided >= 100
+
+
+def test_metric_on_strided_level_sets():
+    system = TowerSystem([(16, Dyadic(1, 5)), (9, Dyadic(1, 5))])
+    # tower 0: levels 0, 4 jump up by 8, and back; tower 1: one transposition
+    u = TowerElement.from_moves(system, [{0: 8, 4: 8, 8: -8, 12: -8}, {2: 6, 8: -6}])
+    identity = TowerElement.identity(system)
+    tables = [dict(m) for m in u.moves]
+    cases = {
+        "ambient": None,
+        "tuple": [(0, 4, 8, 12), (2, 5, 8)],
+        "step 1": [range(16), range(2, 9)],
+        "step 4, past the moves": [range(0, 16, 4), range(2, 9, 3)],
+        "step 2, past the moves": [range(0, 16, 2), range(0, 9, 2)],
+        "step 4, up to the moves": [range(0, 13, 4), range(2, 9, 6)],
+    }
+    for name, levels in cases.items():
+        expected = _reference_metric(system, tables, [{}, {}], levels)
+        assert tower_metric(u, identity, levels) == expected, name
+        assert tower_metric(identity, u, levels) == expected, name
+    assert tower_metric(u, identity) == Dyadic(4 * 8 + 2 * 6, 5)
+    assert tower_metric(u, identity, [range(0, 16, 4), range(2, 9, 3)]) == Dyadic(4 * 2 + 2 * 2, 5)
+
+
+def test_off_set_moves_are_named_as_by_the_per_level_reference():
+    system = TowerSystem([(16, Dyadic(1, 5)), (16, Dyadic(1, 5))])
+    identity = TowerElement.identity(system)
+    cases = [
+        # a middle member off the set while the end points and images are on it
+        ([{0: 8, 2: 8, 4: 8, 8: -8, 10: -8, 12: -8}, {}], [range(0, 16, 4), range(16)]),
+        # every image off the set
+        ([{0: 2, 4: 2, 8: 2, 2: -2, 6: -2, 10: -2}, {}], [range(0, 16, 4), range(16)]),
+        # a single move whose image is off the set
+        ([{0: 3, 3: -3}, {}], [range(0, 16, 2), range(16)]),
+        # the fault is in the second tower
+        ([{0: 4, 4: -4}, {1: 2, 3: -2}], [range(0, 16, 4), range(1, 16, 4)]),
+        # an empty set
+        ([{0: 4, 4: -4}, {}], [range(0, 0, 4), range(16)]),
+        # a set that stops before the moves
+        ([{8: 4, 12: -4}, {}], [range(0, 9, 4), range(16)]),
+    ]
+    other = TowerElement.from_moves(system, [{1: 14, 15: -14}, {5: 8, 13: -8}])
+    for tables, levels in cases:
+        u = TowerElement.from_moves(system, tables)
+        for x, y in ((u, identity), (identity, u), (u, other), (other, u)):
+            with pytest.raises(NotInLevelSetError) as expected:
+                _reference_metric(system, [dict(m) for m in x.moves], [dict(m) for m in y.moves], levels)
+            with pytest.raises(NotInLevelSetError) as raised:
+                tower_metric(x, y, levels)
+            assert str(raised.value) == str(expected.value)
+    u = TowerElement.from_moves(system, [{0: 4, 4: -4}, {}])
+    with pytest.raises(ValueError, match="tower 0: level set out of range"):
+        tower_metric(u, identity, [range(0, 20, 4), range(16)])
+
+
+def test_single_level_runs_and_one_sided_towers():
+    system = TowerSystem([(12, Dyadic(1, 6)), (12, Dyadic(1, 6))])
+    # no two neighbouring moves share a shift, so every run holds one level
+    scattered = {0: 5, 5: 2, 7: -7, 3: 1, 4: -1}
+    u = TowerElement.from_moves(system, [scattered, {}])
+    v = TowerElement.from_moves(system, [{}, {1: 9, 10: -9}])
+    assert u.moves == (tuple(sorted(scattered.items())), ())
+    for product in (u * v, v * u):
+        assert product.moves == _expanded([scattered, {1: 9, 10: -9}])
+        assert product == TowerElement.from_moves(system, [scattered, {1: 9, 10: -9}])
+    assert (u * v).inverse() == v.inverse() * u.inverse()
+    for levels in (None, [range(12)] * 2, [[0, 5, 7, 3, 4, 1, 10, 11]] * 2):
+        assert tower_metric(u, v, levels) == _reference_metric(
+            system, [scattered, {}], [{}, {1: 9, 10: -9}], levels
+        )
+
+
 # -- the crossing involutions ------------------------------------------------------
 
 
@@ -322,6 +494,15 @@ def test_counterexample_rows_are_capped_like_table_depth():
         counterexample_report(25)
     with pytest.raises(DepthCapError):
         counterexample_element(25)
+
+
+def test_counterexample_report_at_the_depth_cap(monkeypatch):
+    monkeypatch.delenv("ERGO_DEPTH_CAP", raising=False)
+    report = counterexample_report(24)
+    assert report.mass_deficit == Dyadic(1, 24)
+    assert [(row.n, row.ambient_distance, row.induced_distance) for row in report.rows] == [
+        (n, Dyadic(1, 1), Dyadic(1, n + 1)) for n in range(1, 25)
+    ]
 
 
 def test_counterexample_induced_column_sums_geometrically():

@@ -326,6 +326,17 @@ def test_cli_invariant_failure_exits_three(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
+def test_cli_out_of_memory_exits_two(monkeypatch, capsys):
+    def exhausted(n_max):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "counterexample_report", exhausted)
+    assert main(["counterexample", "--max-n", "3", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory running counterexample\n"
+
+
 def test_invariant_checks_survive_optimized_mode():
     script = (
         "import sys\n"
