@@ -7,18 +7,19 @@ the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 
 One loop, ``_peel``, splits a positive element into runs of equal return
 maps in a few list passes per run, with no table.  ``factor_positive``
-writes each run's support once per peel, so its word holds the index many
-factors; it refuses an index above ``2**depth_cap()``, the entries of one
-table, before it peels.  A word recomposes with one closed-form power per
-run of equal factors.  ``normal_form`` does not peel: it writes every
-element as at most two periodic factors and an odometer power, in a
-constant number of table passes.
+passes those runs to its certificate as they are: certificates hold runs;
+the JSON word writes each factor, so a ``factor_positive`` word lists the
+index many.  It refuses an index above ``2**depth_cap()``, the entries of
+one table, before it peels.  A certificate recomposes its word once, when
+it is built, with one closed-form power per run.  ``normal_form`` does not
+peel: it writes every element as at most two periodic factors and an
+odometer power, in a constant number of table passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, compress, groupby
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress
 from operator import not_
 from typing import NamedTuple, Union
 
@@ -79,21 +80,33 @@ WordFactor = Union[InducedFactor, PeriodicFactor, OdometerPowerFactor]
 
 @dataclass(frozen=True)
 class FactorizationCertificate:
+    """A target and the word that claims to compose to it.
+
+    ``runs`` holds ``(factor, count)`` pairs, outermost first: the word
+    ``[(F1, k1), (F2, k2), ...]`` denotes ``F1**k1 o F2**k2 o ...``.  Any
+    iterable of pairs is accepted and kept as a tuple.  ``verified`` is
+    not passed in: the constructor recomposes the word and compares it
+    with ``target``, so no certificate exists without that check.
+    """
+
     target: FullGroupElement
-    word: tuple[WordFactor, ...]
-    verified: bool
+    runs: tuple[tuple[WordFactor, int], ...]
+    verified: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "runs", tuple(self.runs))
+        object.__setattr__(self, "verified", self.compose_word() == self.target)
+
+    @property
+    def word(self) -> tuple[WordFactor, ...]:
+        """The runs expanded: each factor object repeated ``count`` times."""
+        return tuple(chain.from_iterable([factor] * count for factor, count in self.runs))
 
     def compose_word(self) -> FullGroupElement:
         out = FullGroupElement.identity()
-        for factor, run in groupby(self.word):
-            out = out * factor.as_element(sum(1 for _ in run))
+        for factor, count in self.runs:
+            out = out * factor.as_element(count)
         return out
-
-
-def _certified(target: FullGroupElement, word) -> FactorizationCertificate:
-    word = tuple(word)
-    cert = FactorizationCertificate(target, word, False)
-    return FactorizationCertificate(target, word, cert.compose_word() == target)
 
 
 # -- cycle-class decomposition ------------------------------------------------
@@ -252,7 +265,7 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
     index = u.index()
     if index > 1 << depth_cap():  # a word holds at most the entries of one table
         raise DepthCapError(f"word of {index} factors exceeds cap 2**{depth_cap()}")
-    return _certified(u, (f for s, k in reversed(_peel(u)) for f in [InducedFactor(s)] * k))
+    return FactorizationCertificate(u, ((InducedFactor(s), k) for s, k in reversed(_peel(u))))
 
 
 # -- normal form ---------------------------------------------------------------
@@ -287,7 +300,8 @@ def normal_form(u: FullGroupElement) -> FactorizationCertificate:
             cycled[s] = t + n - s
             back[t] = s - t
         periodic = [FullGroupElement._trusted(w.depth, table) for table in (cycled, back)]
-    return _certified(u, [*map(PeriodicFactor, periodic), OdometerPowerFactor(k)])
+    word = [*map(PeriodicFactor, periodic), OdometerPowerFactor(k)]
+    return FactorizationCertificate(u, [(f, 1) for f in word])
 
 
 # -- periodic elements as products of involutions -------------------------------
@@ -316,5 +330,5 @@ def factor_periodic_into_involutions(u: FullGroupElement) -> FactorizationCertif
         for j, s in enumerate(cycle.prefixes):
             r1[s] = sums[-j % length] - sums[j]
             r2[s] = sums[(1 - j) % length] - sums[j]
-    word = [PeriodicFactor(FullGroupElement._trusted(u.depth, t)) for t in (r2, r1) if any(t)]
-    return _certified(u, word)
+    word = [(PeriodicFactor(FullGroupElement._trusted(u.depth, t)), 1) for t in (r2, r1) if any(t)]
+    return FactorizationCertificate(u, word)

@@ -25,7 +25,6 @@ from .factor import (
     CycleClassParts,
     FactorizationCertificate,
     InducedFactor,
-    OdometerPowerFactor,
     PeriodicFactor,
 )
 from .induced import InducedResult
@@ -214,15 +213,14 @@ def factor_to_obj(factor) -> dict:
         return {"kind": factor.kind, "set": clopen_to_obj(factor.domain)}
     if isinstance(factor, PeriodicFactor):
         return {"kind": factor.kind, "element": element_to_obj(factor.element)}
-    if isinstance(factor, OdometerPowerFactor):
-        return {"kind": factor.kind, "power": _int_obj(factor.power)}
-    raise TypeError(f"unknown factor {factor!r}")
+    return {"kind": factor.kind, "power": _int_obj(factor.power)}
 
 
 def certificate_to_obj(cert: FactorizationCertificate) -> dict:
+    """The JSON word lists every factor: each run's dict is built once, repeated ``count`` times."""
     return {
         "target": element_to_obj(cert.target),
-        "word": [factor_to_obj(f) for f in cert.word],
+        "word": [obj for f, count in cert.runs for obj in [factor_to_obj(f)] * count],
         "verified": cert.verified,
     }
 

@@ -19,7 +19,7 @@ from odofull import (
     positivize,
     random_element,
 )
-from odofull import factor
+from odofull import factor, serialize
 from odofull.factor import _peel
 from odofull.verify import random_periodic_element
 
@@ -332,6 +332,41 @@ def test_compose_word_builds_each_run_of_equal_factors_once(monkeypatch):
     )
     assert cert.compose_word() == cert.target
     assert calls == [(ClopenSet.from_prefixes(1, {1}), 1), (ClopenSet.full(), 41)]
+
+
+def test_factor_positive_holds_the_peel_runs():
+    rng = random.Random(331)
+    for _ in range(100):
+        u = random_positive(rng, rng.randint(0, 6), rng.randint(0, 20))
+        cert = factor_positive(u)
+        runs = tuple((factor.InducedFactor(s), k) for s, k in reversed(_peel(u)))
+        assert cert.runs == runs
+        word = iter(cert.word)
+        for f, k in cert.runs:
+            assert all(next(word) is f for _ in range(k))
+        assert next(word, None) is None
+
+
+def test_certificate_checks_its_own_word():
+    def power(n):
+        return (factor.OdometerPowerFactor(n), 1)
+
+    assert factor.FactorizationCertificate(T, [power(2)]).verified is False
+    assert factor.FactorizationCertificate(T, [power(1)]).verified is True
+    cert = factor.FactorizationCertificate(T**3, (power(1) for _ in range(3)))
+    assert cert.verified and cert.runs == (power(1),) * 3
+    with pytest.raises(TypeError):
+        factor.FactorizationCertificate(T, [power(1)], True)
+
+
+@pytest.mark.parametrize("k", [2**4, 2**16])
+def test_certificate_json_encodes_each_run_once(monkeypatch, k):
+    calls = []
+    to_obj = serialize.factor_to_obj
+    monkeypatch.setattr(serialize, "factor_to_obj", lambda f: calls.append(f) or to_obj(f))
+    obj = serialize.certificate_to_obj(factor_positive(T**k))
+    assert calls == [factor.InducedFactor(ClopenSet.full())]
+    assert obj["word"] == [{"kind": "induced_on", "set": {"depth": 0, "prefixes": [0]}}] * k
 
 
 # -- normal form -----------------------------------------------------------------------

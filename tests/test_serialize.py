@@ -223,6 +223,9 @@ _CLI_OBJECTS = {
     "factor-positive": lambda: serialize.certificate_to_obj(
         factor_positive(random_element(3, 0, rng=_RNG))
     ),
+    "factor-positive-run": lambda: serialize.certificate_to_obj(
+        factor_positive(FullGroupElement.odometer(5))
+    ),
     "factor-involutions": lambda: serialize.certificate_to_obj(
         factor_periodic_into_involutions(random_periodic_element(_RNG, 4))
     ),
