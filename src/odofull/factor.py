@@ -11,15 +11,17 @@ passes those runs to its certificate as they are: certificates hold runs;
 the JSON word writes each factor, so a ``factor_positive`` word lists the
 index many.  It refuses an index above ``2**depth_cap()``, the entries of
 one table, before it peels.  A certificate recomposes its word once, when
-it is built, with one closed-form power per run.  ``normal_form`` does not
-peel: it writes every element as at most two periodic factors and an
-odometer power, in a constant number of table passes.
+it is built: a run of a return map fixes every point off its support, so
+it rewrites only the support entries of the product so far, in closed
+form whatever its count.  ``normal_form`` does not peel: it writes every
+element as at most two periodic factors and an odometer power, in a
+constant number of table passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import not_
 from typing import NamedTuple, Union
 
@@ -34,27 +36,42 @@ from .induced import induce
 
 @dataclass(frozen=True)
 class InducedFactor:
-    """First-return map of the odometer to ``domain``."""
+    """First-return map of the odometer to ``domain``.
+
+    A return map fixes every point off ``domain``, so a product with one
+    of its powers copies the other operand's table and rewrites only the
+    support entries.
+    """
 
     domain: ClopenSet
     kind = "induced_on"
 
-    def as_element(self, count: int = 1) -> FullGroupElement:
-        """The ``count``-th power of the return map, in one pass over the members.
+    def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
+        """``out`` times the ``count``-th power of the return map, in one pass over the support.
 
-        The odometer meets the members ``m_0 < ... < m_{c-1}`` in ascending
-        order, ``c`` per ``N = 2**depth`` steps, so with ``q, r = divmod(count,
-        c)`` the power steps ``m_{(i+r) mod c} - m_i + N (q + [i + r >= c])``.
+        At ``D = max(out.depth, domain.depth)``, ``N = 2**D``, the odometer
+        meets the support ``m_0 < ... < m_{c-1}`` in ascending order, ``c``
+        per ``N`` steps, so with ``q, r = divmod(count, c)`` the power steps
+        ``m_j - m_i + N (q + [i + r >= c])`` from ``m_i`` to ``m_j``, ``j =
+        (i + r) mod c``, and ``out`` adds its step at ``m_j``.  Off the
+        support the product steps as ``out``.
         """
-        members = self.domain.prefixes()
+        depth = max(out.depth, self.domain.depth)
+        members = self.domain.prefixes_at_depth(depth)
         if not members:
             raise EmptySetError("a return map needs a nonempty set")
-        size, c = 1 << self.domain.depth, len(members)
+        size, c = 1 << depth, len(members)
         q, r = divmod(count, c)
-        table = [0] * size
-        for i, m in enumerate(members, r):
-            table[m] = members[i % c] - m + size * (q + i // c)
-        return FullGroupElement._trusted(self.domain.depth, table)
+        steps = out._cocycle_at(depth)
+        table = list(steps)
+        laps = chain(repeat(size * q, c - r), repeat(size * (q + 1), r))
+        for m, t, lap in zip(members, members[r:] + members[:r], laps):
+            table[m] = t - m + lap + steps[t]
+        return FullGroupElement._trusted(depth, table)
+
+    def as_element(self, count: int = 1) -> FullGroupElement:
+        """The ``count``-th power of the return map."""
+        return self.after(FullGroupElement.identity(), count)
 
 
 @dataclass(frozen=True)
@@ -65,6 +82,9 @@ class PeriodicFactor:
     def as_element(self, count: int = 1) -> FullGroupElement:
         return self.element**count
 
+    def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
+        return out * self.as_element(count)
+
 
 @dataclass(frozen=True)
 class OdometerPowerFactor:
@@ -73,6 +93,9 @@ class OdometerPowerFactor:
 
     def as_element(self, count: int = 1) -> FullGroupElement:
         return FullGroupElement.odometer(self.power * count)
+
+    def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
+        return out * self.as_element(count)
 
 
 WordFactor = Union[InducedFactor, PeriodicFactor, OdometerPowerFactor]
@@ -103,9 +126,10 @@ class FactorizationCertificate:
         return tuple(chain.from_iterable([factor] * count for factor, count in self.runs))
 
     def compose_word(self) -> FullGroupElement:
+        """The word's product, one ``after`` step per run."""
         out = FullGroupElement.identity()
         for factor, count in self.runs:
-            out = out * factor.as_element(count)
+            out = factor.after(out, count)
         return out
 
 
@@ -238,17 +262,20 @@ def _peel(u: FullGroupElement) -> list[tuple[ClopenSet, int]]:
     while rho:
         k = min(rho)
         runs.append((ClopenSet._trusted(u.depth, pack(flags)), k))
-        shift = c - k % c
-        rho = [x - k for x in rho[shift:] + rho[:shift]]
-        kept = list(map(bool, rho))
+        rot = rho[c - k % c :] + rho[: c - k % c]
+        kept = [x != k for x in rot]
         rank = list(accumulate(kept, initial=0))
-        if rank[-1] >= c:
+        left = rank[-1]
+        if left >= c:
             raise InvariantError(f"peel of {k} leaves all {c} support cylinders moved")
-        rho = [(j + x) // c * rank[-1] + rank[(j + x) % c] - rank[j] for j, x in enumerate(rho) if x]
+        rho = [
+            (t := j + x - k) // c * left + rank[t % c] - rank[j]
+            for j, x in compress(enumerate(rot), kept)
+        ]
         for s in compress(members, map(not_, kept)):
             flags[s] = 0
         members = list(compress(members, kept))
-        c = rank[-1]
+        c = left
     if sum(k for _, k in runs) != u.index():
         raise InvariantError(f"peel counts sum to {sum(k for _, k in runs)}, not {u.index()}")
     return runs

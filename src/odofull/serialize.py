@@ -217,7 +217,10 @@ def factor_to_obj(factor) -> dict:
 
 
 def certificate_to_obj(cert: FactorizationCertificate) -> dict:
-    """The JSON word lists every factor: each run's dict is built once, repeated ``count`` times."""
+    """The JSON word lists every factor: each run's dict is built once, repeated ``count`` times.
+
+    :func:`json_text` encodes each such dict once and repeats its text.
+    """
     return {
         "target": element_to_obj(cert.target),
         "word": [obj for f, count in cert.runs for obj in [factor_to_obj(f)] * count],
@@ -251,7 +254,9 @@ def _encode(obj, level: int) -> str:
             return "[]"
         brackets = "[]"
         if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
-            items = [_encode(item, level + 1) for item in obj]
+            # A list may hold one object many times: encode each once.
+            texts = {key: _encode(item, level + 1) for key, item in {id(i): i for i in obj}.items()}
+            items = [texts[id(item)] for item in obj]
         else:  # one item: all of them, already joined by the encoder
             items = [_flat_list_encoder(level)(obj)[1:-1]]
     elif type(obj) is int:  # skips the encoder's set-up; it writes an int as repr()

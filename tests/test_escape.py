@@ -1,6 +1,8 @@
 """Escape times and the diverging tower family."""
 
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from odofull import (
     escape_tower_family,
 )
 from odofull.cli import main
-from odofull.escape import _runs
+from odofull.escape import EscapeRow, _runs
 
 
 def escape_oracle(subset: ClopenSet) -> dict:
@@ -152,13 +154,29 @@ def test_tower_family_depth_cap():
 
 
 def test_tower_family_checks_the_depth_cap_before_any_row(monkeypatch, capsys):
-    runs = []
-    monkeypatch.setattr(escape, "_runs", lambda levels: runs.append(levels) or _runs(levels))
+    rows = []
+    monkeypatch.setattr(escape, "EscapeRow", lambda *args: rows.append(args) or EscapeRow(*args))
     monkeypatch.setenv("ERGO_DEPTH_CAP", "5")
     with pytest.raises(DepthCapError, match="^depth 6 exceeds cap 5$"):
         escape_tower_family(2)
-    assert runs == []
-    assert len(escape_tower_family(1)) == 1 and len(runs) == 1
+    assert rows == []
+    assert len(escape_tower_family(1)) == 1 and len(rows) == 1
     monkeypatch.delenv("ERGO_DEPTH_CAP")
     assert main(["escape-family", "--max-m", "9"]) == 2
     assert capsys.readouterr().err == "error: depth 27 exceeds cap 24\n"
+
+
+def test_tower_family_at_the_cap_builds_no_set():
+    tracemalloc.start()
+    try:
+        rows = escape_tower_family(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a row-8 bitmask alone holds 2**24 bits, 2 MB
+    assert [(row.m, row.depth) for row in rows] == [(m, 3 * m) for m in range(1, 9)]
+    for row in rows:
+        K, N = 4**row.m, 8**row.m
+        h = (K + 1) // 2
+        assert Fraction(*row.measure.as_integer_ratio()) == Fraction(K, N)
+        assert Fraction(*row.integral.as_integer_ratio()) == Fraction(h * (K + 1 - h), N)

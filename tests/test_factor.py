@@ -7,6 +7,7 @@ import pytest
 
 from odofull import (
     ClopenSet,
+    EmptySetError,
     FullGroupElement,
     NotAlmostPositiveError,
     NotPeriodicError,
@@ -324,14 +325,37 @@ def test_compose_word_builds_each_run_of_equal_factors_once(monkeypatch):
     cert = factor_positive(E(1, [3, 1]) * T**40)
     assert cert.verified and len(cert.word) == 42
     calls = []
-    as_element = factor.InducedFactor.as_element
+    after = factor.InducedFactor.after
     monkeypatch.setattr(
         factor.InducedFactor,
-        "as_element",
-        lambda f, count=1: calls.append((f.domain, count)) or as_element(f, count),
+        "after",
+        lambda f, out, count: calls.append((f.domain, count)) or after(f, out, count),
     )
     assert cert.compose_word() == cert.target
     assert calls == [(ClopenSet.from_prefixes(1, {1}), 1), (ClopenSet.full(), 41)]
+
+
+def test_after_is_the_product_with_a_return_power():
+    rng = random.Random(2401)
+    for _ in range(150):
+        depth = rng.randint(0, 6)
+        domain = ClopenSet(depth, rng.getrandbits(1 << depth) or 1)
+        f = factor.InducedFactor(domain)
+        return_map = induce(T, domain).element
+        c = domain.cylinder_count()
+        for out_depth in (max(depth - 2, 0), depth, depth + 2):  # shallower, equal, deeper
+            out = random_element(out_depth, 3, rng=rng)
+            for k in (0, 1, -1, c - 1, c, 3 * c + 1):
+                expected = out * return_map**k
+                assert f.after(out, k) == out * f.as_element(k) == expected, (domain, out, k)
+    for f in (factor.PeriodicFactor(random_periodic_element(rng, 4)), factor.OdometerPowerFactor(3)):
+        out = random_element(3, 2, rng=rng)
+        for k in (0, 1, -1, 5):
+            assert f.after(out, k) == out * f.as_element(k)
+    with pytest.raises(EmptySetError):
+        factor.InducedFactor(ClopenSet.empty()).after(random_element(3, 1, seed=7), 1)
+    with pytest.raises(EmptySetError):
+        factor.InducedFactor(ClopenSet.empty()).as_element()
 
 
 def test_factor_positive_holds_the_peel_runs():

@@ -253,6 +253,18 @@ _CLI_OBJECTS = {
 }
 
 
+def test_json_text_encodes_each_distinct_list_item_once(monkeypatch):
+    encode = serialize._encode
+    counts = []
+    for k in (2**4, 2**16):
+        calls = []
+        monkeypatch.setattr(serialize, "_encode", lambda *args: calls.append(1) or encode(*args))
+        obj = serialize.certificate_to_obj(factor_positive(FullGroupElement.odometer(k)))
+        assert serialize.json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("kind", sorted(_CLI_OBJECTS))
 def test_json_text_is_json_dumps_on_every_cli_result(kind):
     obj = _CLI_OBJECTS[kind]()
