@@ -38,6 +38,8 @@ def depth_cap() -> int:
 
 
 def check_depth(depth: int) -> None:
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise TypeError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     cap = depth_cap()

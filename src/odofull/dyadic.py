@@ -42,7 +42,9 @@ class Dyadic:
     __slots__ = ("num", "exp2")
 
     def __init__(self, num: int, exp2: int = 0):
-        if not (isinstance(num, int) and isinstance(exp2, int)):
+        if not (type(num) is type(exp2) is int) and (
+            bool in (type(num), type(exp2)) or not (isinstance(num, int) and isinstance(exp2, int))
+        ):
             raise TypeError(f"Dyadic needs integers, got {num!r} / 2^{exp2!r}")
         if exp2 < 0:
             raise ValueError("exp2 must be nonnegative")

@@ -5,6 +5,11 @@ the input, or a :class:`FactorizationCertificate` whose word recomposes to
 the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
 
+Each factor kind defines one method, ``after(out, count)``: ``out`` times
+the factor's ``count``-th power.  :class:`Factor` derives the power itself
+from it.  ``positivize`` reads its first-return map off the running sums
+it scans for its domain, so it walks each cycle once.
+
 One loop, ``_peel``, splits a positive element into runs of equal return
 maps in a few list passes per run, with no table.  ``factor_positive``
 passes those runs to its certificate as they are: certificates hold runs;
@@ -23,19 +28,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, repeat
 from operator import not_
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from .clopen import ClopenSet, depth_cap, pack
+from .clopen import ClopenSet, depth_cap, pack, unpack
 from .element import TRIVIAL, FullGroupElement
 from .errors import DepthCapError, EmptySetError, InvariantError, NotAlmostPositiveError
 from .errors import NotPeriodicError, NotPositiveError
-from .induced import induce
 
 # -- certificate ------------------------------------------------------------
 
 
+class Factor:
+    """A factor kind: ``after(out, count)`` is ``out`` times its ``count``-th power."""
+
+    def as_element(self, count: int = 1) -> FullGroupElement:
+        """The ``count``-th power of the factor."""
+        return self.after(FullGroupElement.identity(), count)
+
+
 @dataclass(frozen=True)
-class InducedFactor:
+class InducedFactor(Factor):
     """First-return map of the odometer to ``domain``.
 
     A return map fixes every point off ``domain``, so a product with one
@@ -54,13 +66,16 @@ class InducedFactor:
         per ``N`` steps, so with ``q, r = divmod(count, c)`` the power steps
         ``m_j - m_i + N (q + [i + r >= c])`` from ``m_i`` to ``m_j``, ``j =
         (i + r) mod c``, and ``out`` adds its step at ``m_j``.  Off the
-        support the product steps as ``out``.
+        support the product steps as ``out``.  ``D`` is an operand's
+        checked depth, so the members come from the domain's refined mask
+        with no further check.
         """
         depth = max(out.depth, self.domain.depth)
-        members = self.domain.prefixes_at_depth(depth)
+        size = 1 << depth
+        members = list(compress(range(size), unpack(self.domain._bits_at(depth), size)))
         if not members:
             raise EmptySetError("a return map needs a nonempty set")
-        size, c = 1 << depth, len(members)
+        c = len(members)
         q, r = divmod(count, c)
         steps = out._cocycle_at(depth)
         table = list(steps)
@@ -69,36 +84,23 @@ class InducedFactor:
             table[m] = t - m + lap + steps[t]
         return FullGroupElement._trusted(depth, table)
 
-    def as_element(self, count: int = 1) -> FullGroupElement:
-        """The ``count``-th power of the return map."""
-        return self.after(FullGroupElement.identity(), count)
-
 
 @dataclass(frozen=True)
-class PeriodicFactor:
+class PeriodicFactor(Factor):
     element: FullGroupElement
     kind = "periodic"
 
-    def as_element(self, count: int = 1) -> FullGroupElement:
-        return self.element**count
-
     def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
-        return out * self.as_element(count)
+        return out * self.element**count
 
 
 @dataclass(frozen=True)
-class OdometerPowerFactor:
+class OdometerPowerFactor(Factor):
     power: int
     kind = "power_of_T"
 
-    def as_element(self, count: int = 1) -> FullGroupElement:
-        return FullGroupElement.odometer(self.power * count)
-
     def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
-        return out * self.as_element(count)
-
-
-WordFactor = Union[InducedFactor, PeriodicFactor, OdometerPowerFactor]
+        return out * FullGroupElement.odometer(self.power * count)
 
 
 @dataclass(frozen=True)
@@ -107,21 +109,26 @@ class FactorizationCertificate:
 
     ``runs`` holds ``(factor, count)`` pairs, outermost first: the word
     ``[(F1, k1), (F2, k2), ...]`` denotes ``F1**k1 o F2**k2 o ...``.  Any
-    iterable of pairs is accepted and kept as a tuple.  ``verified`` is
-    not passed in: the constructor recomposes the word and compares it
-    with ``target``, so no certificate exists without that check.
+    iterable of pairs is accepted and kept as a tuple; a count below 1
+    raises ``ValueError``, so ``runs`` and ``word`` name the same product.
+    ``verified`` is not passed in: the constructor recomposes the word and
+    compares it with ``target``, so no certificate exists without that
+    check.
     """
 
     target: FullGroupElement
-    runs: tuple[tuple[WordFactor, int], ...]
+    runs: tuple[tuple[Factor, int], ...]
     verified: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(self.runs))
+        for _, count in self.runs:
+            if count < 1:
+                raise ValueError(f"run count {count} is below 1")
         object.__setattr__(self, "verified", self.compose_word() == self.target)
 
     @property
-    def word(self) -> tuple[WordFactor, ...]:
+    def word(self) -> tuple[Factor, ...]:
         """The runs expanded: each factor object repeated ``count`` times."""
         return tuple(chain.from_iterable([factor] * count for factor, count in self.runs))
 
@@ -184,16 +191,16 @@ def positivize(u: FullGroupElement) -> Positivized:
     contains such a cylinder, so inducing on ``domain`` preserves the index
     and the two complementary quotients are periodic.
 
-    The identity is accepted and returns identity parts with an empty
-    domain, keeping pipelines total on the almost positive class.
+    The orbit of a cylinder follows its prefix cycle, so the first return
+    of ``u`` to ``domain`` steps each start ``c_i`` of a cycle to the next
+    start ``c_j`` by ``sums[j] - sums[i]``, the last start to the first a
+    lap later: the scan that finds the starts gives the induced table, and
+    ``domain`` is its support.  The identity, whose cycles are all
+    trivial, gets an empty domain and identity parts, keeping pipelines
+    total on the almost positive class.
     """
-    identity = FullGroupElement.identity()
-    if u.is_identity:
-        return Positivized(ClopenSet.empty(), identity, identity, identity)
-
-    size = 1 << u.depth
     steps = u.cocycle
-    in_domain = bytearray(size)
+    table = [0] * (1 << u.depth)
     for cycle in u.orbit_decomposition().cycles:
         if cycle.kind == TRIVIAL:
             continue
@@ -204,19 +211,22 @@ def positivize(u: FullGroupElement) -> Positivized:
             )
         # Start i qualifies when sums[i] is below sums[i + 1 .. i + length].
         # The second lap repeats the first plus the positive displacement,
-        # so that is: below every later sum of the two laps.
+        # so that is: below every later sum of the two laps.  Scanning
+        # backward, the record found just before a start is the next start
+        # along the cycle, or the first start a lap later for the last one:
+        # the first return steps from the start's sum to the record's.
         length = len(cycle.prefixes)
         sums = list(accumulate((steps[s] for s in cycle.prefixes * 2), initial=0))
-        lowest = sums[-1]
+        lowest, following = sums[-1], 2 * length
         for i in range(2 * length - 1, -1, -1):
             if sums[i] < lowest:
                 lowest = sums[i]
                 if i < length:
-                    in_domain[cycle.prefixes[i]] = 1
-    domain = ClopenSet._trusted(u.depth, pack(in_domain))
-    straightened = induce(u, domain).element
+                    table[cycle.prefixes[i]] = sums[following] - sums[i]
+                following = i
+    straightened = FullGroupElement._trusted(u.depth, table)
     inverse = straightened.inverse()
-    return Positivized(domain, straightened, u * inverse, inverse * u)
+    return Positivized(straightened.support(), straightened, u * inverse, inverse * u)
 
 
 # -- positive elements as products of return maps ------------------------------

@@ -47,7 +47,9 @@ class TowerSystem:
         validated = []
         mass = Dyadic(0)
         for t, (height, base) in enumerate(towers):
-            if not isinstance(height, int) or not isinstance(base, (Dyadic, int)):
+            if type(height) is bool or not (
+                isinstance(height, int) and isinstance(base, (Dyadic, int))
+            ):
                 raise TypeError(f"tower {t}: height must be an int, base a Dyadic or int")
             if height < 1:
                 raise ValueError(f"tower height {height} must be at least 1")

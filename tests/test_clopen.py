@@ -14,7 +14,7 @@ from odofull import (
     ncycle_support_test,
     random_element,
 )
-from odofull.clopen import DEPTH_CAP_ENV, pack, unpack
+from odofull.clopen import DEPTH_CAP_ENV, check_depth, pack, unpack
 from odofull.induced import oddpart
 from odofull.verify import random_clopen
 
@@ -322,3 +322,17 @@ def test_ncycle_witness_matches_per_bit_return_cycle():
         for s in cycle[::order]:
             bits |= 1 << s
         assert witness == ClopenSet(depth, bits)
+
+
+def test_bool_depth_rejected():
+    # True is an int, but a set built at depth True writes "depth": true
+    for depth in (True, False):
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            check_depth(depth)
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            ClopenSet(depth, 1)
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            ClopenSet.from_prefixes(depth, [0])
+    with pytest.raises(TypeError, match="depth must be an integer"):
+        check_depth(2.0)
+    check_depth(0)

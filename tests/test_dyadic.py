@@ -1,6 +1,7 @@
 """Exact dyadic arithmetic, cross-checked against stdlib fractions."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -32,11 +33,21 @@ def test_negative_exponent_rejected():
 
 
 def test_non_integer_arguments_rejected():
-    for num, exp2 in ((3, 1.5), (0.5, 0), (Fraction(1, 2), 0), ("3", 1), (3, None)):
+    # a bool is an int, but it prints as "True/2^0" or "1/2^True"
+    bools = ((True, 0), (False, 0), (1, True), (3, False))
+    for num, exp2 in ((3, 1.5), (0.5, 0), (Fraction(1, 2), 0), ("3", 1), (3, None), *bools):
         with pytest.raises(TypeError):
             Dyadic(num, exp2)
-    with pytest.raises(TypeError):
-        Dyadic(0.5)
+    for num in (0.5, True):
+        with pytest.raises(TypeError):
+            Dyadic(num)
+
+    class Level(IntEnum):
+        THREE = 3
+        TWO = 2
+
+    assert Dyadic(Level.THREE, Level.TWO) == Dyadic(3, 2)
+    assert str(Dyadic(6, Level.THREE)) == "3/2^2"
 
 
 def test_string_round_trip():

@@ -10,10 +10,12 @@ from odofull import (
     Dyadic,
     FullGroupElement,
     NotBijectiveError,
+    ParseError,
     commutator,
     distance,
     random_element,
 )
+from odofull.serialize import element_from_obj
 
 E = FullGroupElement
 IDENTITY = E.identity()
@@ -70,6 +72,13 @@ def test_bool_entries_rejected_like_the_parser_does():
         E.odometer(True)
     with pytest.raises(TypeError, match="integers"):
         E.odometer(1.0)
+    with pytest.raises(ParseError):
+        element_from_obj({"depth": True, "cocycle": [1, -1]})
+    for depth in (True, False):
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            E(depth, [1, -1][: 1 << depth])
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            random_element(depth)
 
 
 def test_canonical_depth_reduction():

@@ -1,6 +1,7 @@
 """Decompositions and certified factorizations."""
 
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -20,7 +21,7 @@ from odofull import (
     positivize,
     random_element,
 )
-from odofull import factor, serialize
+from odofull import factor, induced, serialize
 from odofull.factor import _peel
 from odofull.verify import random_periodic_element
 
@@ -37,6 +38,21 @@ def refine(u, depth):
 def refine_bits(a, depth):
     """Membership mask of ``a`` at ``depth >= a.depth``: the canonical mask, repeated."""
     return int(format(a.bits, f"0{1 << a.depth}b") * 2 ** (depth - a.depth), 2)
+
+
+def odofull_bindings(function):
+    """``(module, name)`` for every ``odofull`` module attribute bound to ``function``.
+
+    Patching all of them counts the calls a module makes through a name it
+    imported, not only those through the defining module.
+    """
+    return [
+        (module, name)
+        for key, module in list(sys.modules.items())
+        if key == "odofull" or key.startswith("odofull.")
+        for name, value in list(vars(module).items())
+        if value is function
+    ]
 
 
 # -- cycle-class decomposition ---------------------------------------------------
@@ -153,6 +169,34 @@ def test_positivize_domain_matches_lap_sums():
             assert domain == ClopenSet.from_prefixes(u.depth, expected)
         else:
             assert domain.is_empty
+
+
+def positivize_reference_cases():
+    rng = random.Random(2501)
+    cases = [IDENTITY, T, E(6, [1] * 63 + [65])]
+    for _ in range(300):
+        u = random_element(rng.randint(0, 7), rng.randint(0, 3), rng=rng)
+        cases.append(decompose_pnp(u).almost_positive)
+    return cases
+
+
+def test_positivize_induced_is_the_return_map_to_its_domain():
+    for u in positivize_reference_cases():
+        straightened = positivize(u)
+        if straightened.domain.is_empty:  # induce refuses the empty set
+            assert u == IDENTITY and straightened.induced == IDENTITY
+        else:
+            assert straightened.induced == induce(u, straightened.domain).element, u
+
+
+def test_positivize_calls_no_induce(monkeypatch):
+    cases = positivize_reference_cases()
+    calls = []
+    original = induced.induce
+    for module, name in odofull_bindings(original):
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    assert all(positivize(u).induced.index() == u.index() for u in cases)
+    assert not calls
 
 
 def test_positivize_single_long_positive_cycle():
@@ -305,7 +349,8 @@ def test_peel_builds_no_table_and_walks_no_orbit(monkeypatch):
 
     for name in ("__mul__", "_over", "inverse", "__pow__"):
         counting(E, name)
-    counting(factor, "induce")
+    for module, name in odofull_bindings(induced.induce):
+        counting(module, name)
     assert [_peel(u) for u in cases] == expected
     assert len(expected[0]) > 1 and all(expected[-10:])
     assert not calls
@@ -348,10 +393,13 @@ def test_after_is_the_product_with_a_return_power():
             for k in (0, 1, -1, c - 1, c, 3 * c + 1):
                 expected = out * return_map**k
                 assert f.after(out, k) == out * f.as_element(k) == expected, (domain, out, k)
+        for k in (0, 1, -1, c):
+            assert f.as_element(k) == f.after(E.identity(), k) == return_map**k
     for f in (factor.PeriodicFactor(random_periodic_element(rng, 4)), factor.OdometerPowerFactor(3)):
         out = random_element(3, 2, rng=rng)
         for k in (0, 1, -1, 5):
             assert f.after(out, k) == out * f.as_element(k)
+            assert f.as_element(k) == f.after(E.identity(), k)
     with pytest.raises(EmptySetError):
         factor.InducedFactor(ClopenSet.empty()).after(random_element(3, 1, seed=7), 1)
     with pytest.raises(EmptySetError):
@@ -381,6 +429,24 @@ def test_certificate_checks_its_own_word():
     assert cert.verified and cert.runs == (power(1),) * 3
     with pytest.raises(TypeError):
         factor.FactorizationCertificate(T, [power(1)], True)
+
+
+def test_certificate_refuses_counts_below_one(monkeypatch):
+    # a run of count -1 would expand to an empty word certified as T^-1
+    power = factor.OdometerPowerFactor
+    calls = []
+    after = power.after
+    monkeypatch.setattr(
+        power, "after", lambda f, out, count: calls.append(count) or after(f, out, count)
+    )
+    for count in (-1, 0):
+        with pytest.raises(ValueError, match="is below 1"):
+            factor.FactorizationCertificate(T**count, [(power(1), count)])
+        with pytest.raises(ValueError, match="is below 1"):
+            factor.FactorizationCertificate(T, [(power(1), 1), (power(2), count)])
+    assert not calls  # refused before recomposing
+    assert factor.FactorizationCertificate(T**2, [(power(1), 2)]).verified
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("k", [2**4, 2**16])
@@ -459,7 +525,9 @@ def test_normal_form_calls_no_peel_and_a_fixed_number_of_table_passes(monkeypatc
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("induce", "_peel", "positivize", "decompose_pnp"):
+    for module, name in odofull_bindings(induced.induce):
+        counting(module, name)
+    for name in ("_peel", "positivize", "decompose_pnp"):
         counting(factor, name)
     for name in ("__mul__", "inverse"):
         counting(E, name)

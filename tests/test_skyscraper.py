@@ -69,7 +69,7 @@ def test_tower_make_mass_check():
 
 
 def test_tower_make_rejects_non_integer_values():
-    for tower in [(1, 0.5), (1.5, Dyadic(1, 1)), (1, "1/2^1")]:
+    for tower in [(1, 0.5), (1.5, Dyadic(1, 1)), (1, "1/2^1"), (True, Dyadic(1, 3))]:
         with pytest.raises(TypeError, match="tower 1"):
             TowerSystem([(2, Dyadic(1, 3)), tower])
     assert TowerSystem([(1, 1)]).towers[0].base_measure == Dyadic(1)
