@@ -23,7 +23,7 @@ import functools
 import sys
 
 from . import serialize
-from .element import FullGroupElement, random_element
+from .element import random_element
 from .errors import InvariantError, OdofullError
 from .escape import escape_time, escape_tower_family
 from .factor import (
@@ -35,13 +35,6 @@ from .factor import (
 from .induced import induce, ncycle_support_test
 from .skyscraper import counterexample_report
 from .verify import QUICK, RunReport, SUITES, run_verify
-
-def _full_group(source: str) -> FullGroupElement:
-    element = serialize.parse_element(source)
-    if not isinstance(element, FullGroupElement):
-        raise serialize.ParseError("this command needs a dyadic_odometer element")
-    return element
-
 
 def _clopen(source: str):
     return serialize.clopen_from_obj(serialize.load_json(source))
@@ -72,12 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("quick", "full"), default=QUICK)
 
     def on_element(name, summary, fn, kind):
-        command(name, summary, lambda a: fn(_full_group(a.element)), kind).add_argument("element")
+        p = command(name, summary, lambda a: fn(serialize.parse_element(a.element)), kind)
+        p.add_argument("element")
 
     on_element("index", "index of an element", lambda u: u.index(), "index")
     p = command(
         "compose", "compose two elements (right one applied first)",
-        lambda a: _full_group(a.left) * _full_group(a.right), "element",
+        lambda a: serialize.parse_element(a.left) * serialize.parse_element(a.right), "element",
     )
     p.add_argument("left")
     p.add_argument("right")
@@ -85,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(
         "induce", "first-return map to a clopen set",
-        lambda a: induce(_full_group(a.element), _clopen(a.set)), "induced",
+        lambda a: induce(serialize.parse_element(a.element), _clopen(a.set)), "induced",
     )
     p.add_argument("element")
     p.add_argument("--set", required=True, help='clopen set JSON, e.g. {"depth":1,"prefixes":[0]}')

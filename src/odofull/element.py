@@ -69,7 +69,7 @@ class FullGroupElement:
     def _reduce(self, depth: int, table: tuple) -> None:
         while depth > 0:
             half = 1 << (depth - 1)
-            if table[:half] != table[half:]:
+            if table[0] != table[half] or table[:half] != table[half:]:
                 break
             table = table[:half]
             depth -= 1
@@ -78,7 +78,7 @@ class FullGroupElement:
 
     @classmethod
     def identity(cls) -> "FullGroupElement":
-        return cls._trusted(0, (0,))
+        return _IDENTITY  # values are immutable, so one instance serves every call
 
     @classmethod
     def odometer(cls, power: int = 1) -> "FullGroupElement":
@@ -242,6 +242,9 @@ class FullGroupElement:
         if any(c.displacement != 0 for c in cycles):
             return None
         return lcm(*(len(c.prefixes) for c in cycles))
+
+
+_IDENTITY = FullGroupElement._trusted(0, (0,))
 
 
 def _check_bijective(depth: int, table) -> None:

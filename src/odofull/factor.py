@@ -91,7 +91,9 @@ class PeriodicFactor(Factor):
     kind = "periodic"
 
     def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
-        return out * self.element**count
+        """``out`` times the power; after the identity, table ``(0,)``, the power itself."""
+        power = self.element**count
+        return power if out.cocycle == (0,) else out * power
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,8 @@ def positivize(u: FullGroupElement) -> Positivized:
     trivial, gets an empty domain and identity parts, keeping pipelines
     total on the almost positive class.
     """
+    if u.is_identity:
+        return Positivized(ClopenSet.empty(), u, u, u)
     steps = u.cocycle
     table = [0] * (1 << u.depth)
     for cycle in u.orbit_decomposition().cycles:

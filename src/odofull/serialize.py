@@ -16,8 +16,7 @@ import functools
 import json
 import os
 
-from .clopen import ClopenSet, depth_cap
-from .dyadic import Dyadic
+from .clopen import ClopenSet
 from .element import FullGroupElement
 from .errors import ParseError
 from .escape import INFINITE
@@ -28,10 +27,9 @@ from .factor import (
     PeriodicFactor,
 )
 from .induced import InducedResult
-from .skyscraper import CounterexampleReport, TowerElement, TowerSystem
+from .skyscraper import CounterexampleReport
 
 ODOMETER_SYSTEM = "dyadic_odometer"
-SKYSCRAPER_SYSTEM = "skyscraper"
 _SAFE_INT = 1 << 53
 
 
@@ -46,18 +44,6 @@ def _int_from(obj) -> int:
         return int(obj)
     except ValueError:
         raise ParseError(f"bad integer literal {obj!r}") from None
-
-
-def dyadic_from_str(text) -> Dyadic:
-    if not isinstance(text, str):
-        raise ParseError(f"expected a 'p/2^k' string, got {text!r}")
-    try:
-        value = Dyadic.from_string(text)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    if value.exp2 > 3 * depth_cap():
-        raise ParseError(f"dyadic exponent {value.exp2} exceeds cap {3 * depth_cap()}")
-    return value
 
 
 # -- clopen sets --------------------------------------------------------------
@@ -111,61 +97,6 @@ def element_to_json(u: FullGroupElement) -> str:
     return json.dumps(element_to_obj(u))
 
 
-# -- tower elements -------------------------------------------------------------
-
-
-def tower_element_to_obj(u: TowerElement) -> dict:
-    return {
-        "system": SKYSCRAPER_SYSTEM,
-        "towers": [
-            {
-                "height": tower.height,
-                "base_measure": str(tower.base_measure),
-                "moves": [[level, _int_obj(n)] for level, n in moves],
-            }
-            for tower, moves in zip(u.system.towers, u.moves)
-        ],
-    }
-
-
-def tower_element_from_obj(obj) -> TowerElement:
-    """Accepts ``moves`` pairs (canonical) or dense ``shifts`` tables."""
-    towers = obj.get("towers")
-    if not isinstance(towers, list) or not towers:
-        raise ParseError("'towers' must be a nonempty list")
-    params = []
-    moves = []
-    for t, entry in enumerate(towers):
-        if not isinstance(entry, dict):
-            raise ParseError("each tower must be an object")
-        height = _int_from(entry.get("height"))
-        params.append((height, dyadic_from_str(entry.get("base_measure"))))
-        if "moves" in entry:
-            pairs = entry["moves"]
-            if not isinstance(pairs, list):
-                raise ParseError("'moves' must be a list of [level, shift] pairs")
-            try:
-                shifts = {_int_from(i): _int_from(n) for i, n in pairs}
-            except (TypeError, ValueError):
-                raise ParseError("'moves' must be a list of [level, shift] pairs") from None
-            if len(shifts) != len(pairs):
-                raise ParseError(f"tower {t}: a level appears twice in 'moves'")
-        elif "shifts" in entry:
-            table = entry["shifts"]
-            if not isinstance(table, list):
-                raise ParseError("'shifts' must be a list")
-            if len(table) != height:
-                raise ParseError(f"tower {t}: table length {len(table)} != height {height}")
-            shifts = dict(enumerate(map(_int_from, table)))
-        else:
-            raise ParseError("each tower needs 'moves' or 'shifts'")
-        moves.append(shifts)
-    try:
-        return TowerElement.from_moves(TowerSystem(params), moves)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
 # -- parsing (path or inline JSON) -------------------------------------------------
 
 
@@ -186,13 +117,13 @@ def load_json(source: str):
         raise ParseError(f"bad JSON: {exc}") from None
 
 
-def parse_element(source: str):
-    """Parse an element from inline JSON or from a file path.
+def parse_element(source: str) -> FullGroupElement:
+    """Parse a ``dyadic_odometer`` element from inline JSON or from a file path.
 
-    Returns a :class:`FullGroupElement` or a :class:`TowerElement`
-    according to the ``system`` tag.  Malformed input raises
-    :class:`ParseError`; a table that fails bijectivity raises
-    ``NotBijectiveError`` naming the colliding prefixes.
+    Malformed input raises :class:`ParseError`, as does any other system
+    tag: skyscraper elements are built in memory through
+    ``TowerElement.from_moves`` and have no JSON form.  A table that fails
+    bijectivity raises ``NotBijectiveError`` naming the colliding prefixes.
     """
     obj = load_json(source)
     if not isinstance(obj, dict):
@@ -200,8 +131,8 @@ def parse_element(source: str):
     system = obj.get("system")
     if system == ODOMETER_SYSTEM:
         return element_from_obj(obj)
-    if system == SKYSCRAPER_SYSTEM:
-        return tower_element_from_obj(obj)
+    if system == "skyscraper":
+        raise ParseError("system 'skyscraper' has no JSON form; pass a dyadic_odometer element")
     raise ParseError(f"unknown system tag {system!r}")
 
 

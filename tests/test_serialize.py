@@ -12,8 +12,6 @@ from odofull import (
     NotBijectiveError,
     ParseError,
     RunReport,
-    TowerElement,
-    TowerSystem,
     counterexample_report,
     decompose_pnp,
     escape_time,
@@ -29,27 +27,6 @@ from odofull import (
 )
 from odofull import serialize
 from odofull.verify import random_periodic_element
-
-
-def test_dyadic_strings():
-    assert str(Dyadic(1, 2)) == "1/2^2"
-    assert serialize.dyadic_from_str("3/2^5") == Dyadic(3, 5)
-    with pytest.raises(ParseError):
-        serialize.dyadic_from_str("x/2^5")
-    with pytest.raises(ParseError):
-        serialize.dyadic_from_str(None)
-
-
-def test_dyadic_exponent_is_capped_at_parse(monkeypatch):
-    monkeypatch.delenv("ERGO_DEPTH_CAP", raising=False)
-    assert serialize.dyadic_from_str("1/2^72") == Dyadic(1, 72)
-    assert serialize.dyadic_from_str("2/2^73") == Dyadic(1, 72)
-    with pytest.raises(ParseError, match="exponent 73 exceeds cap 72"):
-        serialize.dyadic_from_str("1/2^73")
-    monkeypatch.setenv("ERGO_DEPTH_CAP", "3")
-    assert serialize.dyadic_from_str("1/2^9") == Dyadic(1, 9)
-    with pytest.raises(ParseError):
-        serialize.dyadic_from_str("1/2^10")
 
 
 def test_clopen_round_trip():
@@ -123,38 +100,21 @@ def test_element_from_file(tmp_path):
     assert parse_element(str(path)) == u
 
 
-def test_tower_element_round_trip():
-    system = TowerSystem([(4, Dyadic(1, 3)), (8, Dyadic(1, 5))])
-    u = TowerElement.from_moves(system, [{0: 2, 2: -2}, {1: 3, 4: -3}])
-    obj = serialize.tower_element_to_obj(u)
-    assert obj["system"] == "skyscraper"
-    assert serialize.tower_element_from_obj(obj) == u
-    assert parse_element(json.dumps(obj)) == u
-
-
-def test_tower_element_accepts_dense_shifts():
-    obj = {
-        "system": "skyscraper",
-        "towers": [
-            {"height": 4, "base_measure": "1/2^3", "shifts": [2, 0, -2, 0]}
-        ],
-    }
-    u = parse_element(json.dumps(obj))
-    assert dict(u.moves[0]) == {0: 2, 2: -2}
-
-
 @pytest.mark.parametrize(
     "tower",
     [
         {"height": 4, "base_measure": "1/2^3", "shifts": [2, 0, -2]},
         {"height": 4, "base_measure": "1/2^3", "shifts": [2, 0, -2, 0, 0]},
         {"height": 4, "base_measure": "1/2^3", "moves": [[0, 2], [2, -2], [0, 1]]},
+        {"height": 2, "base_measure": "1/2^1", "moves": [[0, 1], [1, -1]]},
+        {"height": 1, "base_measure": "1/2^100000000000", "shifts": [0]},
     ],
 )
-def test_tower_element_rejects_malformed_tables(tower):
-    obj = {"system": "skyscraper", "towers": [tower]}
-    with pytest.raises(ParseError, match="tower 0"):
-        serialize.tower_element_from_obj(obj)
+def test_parse_element_refuses_skyscraper_elements(tower):
+    for towers in ([tower], []):
+        text = json.dumps({"system": "skyscraper", "towers": towers})
+        with pytest.raises(ParseError, match="system 'skyscraper' has no JSON form"):
+            parse_element(text)
 
 
 def test_empty_word_certificate_json():
@@ -241,9 +201,6 @@ _CLI_OBJECTS = {
     "escape-infinite": lambda: serialize.escape_result_to_obj(escape_time(ClopenSet.full())),
     "escape-family": lambda: serialize.escape_rows_to_obj(escape_tower_family(3)),
     "counterexample": lambda: serialize.counterexample_to_obj(counterexample_report(4)),
-    "tower-element": lambda: serialize.tower_element_to_obj(
-        TowerElement.from_moves(TowerSystem([(4, Dyadic(1, 3))]), [{0: 2, 2: -2}])
-    ),
     "element": lambda: serialize.element_to_obj(random_element(5, 3, rng=_RNG)),
     "index": lambda: serialize.index_to_obj(-7),
     "verify": lambda: serialize.report_to_obj(run_verify("escape", 0)),

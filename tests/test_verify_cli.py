@@ -283,13 +283,14 @@ def test_cli_normal_form_of_a_random_depth_16_element_returns_at_once(tmp_path):
     assert cert["verified"] is True and len(cert["word"]) <= 3
 
 
-def test_cli_huge_dyadic_exponent_is_a_parse_error(monkeypatch, capsys):
-    monkeypatch.delenv("ERGO_DEPTH_CAP", raising=False)
+def test_cli_skyscraper_element_is_a_parse_error(capsys):
     tower = {"height": 1, "base_measure": "1/2^100000000000", "shifts": [0]}
     start = time.perf_counter()
     assert main(["index", json.dumps({"system": "skyscraper", "towers": [tower]})]) == 2
     assert time.perf_counter() - start < 1
-    assert "dyadic exponent 100000000000 exceeds cap 72" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: system 'skyscraper' has no JSON form; pass a dyadic_odometer element\n"
 
 
 def test_report_exit_status_tracks_failures():
