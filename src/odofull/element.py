@@ -304,6 +304,8 @@ def distance(u: FullGroupElement, v: FullGroupElement, p=1) -> Dyadic:
     returns the ``p``-th power of the L^p distance, which keeps the value
     dyadic.
     """
+    if isinstance(p, bool):
+        raise TypeError(f"p must be 1, an integer >= 2, or 'uniform', not {p!r}")
     depth = max(u.depth, v.depth)
     a = u._cocycle_at(depth)
     b = v._cocycle_at(depth)
@@ -333,6 +335,8 @@ def random_element(
     the output is deterministic for a fixed seed.
     """
     check_depth(depth)
+    if isinstance(wrap_bound, bool) or not isinstance(wrap_bound, int):
+        raise TypeError(f"wrap_bound must be an integer, got {wrap_bound!r}")
     if wrap_bound < 0:
         raise ValueError("wrap_bound must be nonnegative")
     if rng is None:

@@ -22,12 +22,8 @@ from .errors import EmptySetError
 class _Infinite:
     """Sentinel for an infinite escape time or integral."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):  # copies and pickles resolve to the one INFINITE
+        return "INFINITE"
 
     def __repr__(self):
         return "INFINITE"
@@ -114,6 +110,8 @@ def escape_tower_family(m_max: int) -> tuple[EscapeRow, ...]:
     for the even ``K = 4**m`` is ``(K/2) (K/2 + 1)``, written from ``m``
     with no set or table.
     """
+    if isinstance(m_max, bool):
+        raise TypeError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     check_depth(3 * m_max)

@@ -142,6 +142,14 @@ class FactorizationCertificate:
         return out
 
 
+def _certified(target: FullGroupElement, runs) -> FactorizationCertificate:
+    """A producer's certificate; one whose word does not recompose is a defect."""
+    cert = FactorizationCertificate(target, runs)
+    if not cert.verified:
+        raise InvariantError("certificate word does not recompose to its target")
+    return cert
+
+
 # -- cycle-class decomposition ------------------------------------------------
 
 
@@ -306,7 +314,7 @@ def factor_positive(u: FullGroupElement) -> FactorizationCertificate:
     index = u.index()
     if index > 1 << depth_cap():  # a word holds at most the entries of one table
         raise DepthCapError(f"word of {index} factors exceeds cap 2**{depth_cap()}")
-    return FactorizationCertificate(u, ((InducedFactor(s), k) for s, k in reversed(_peel(u))))
+    return _certified(u, ((InducedFactor(s), k) for s, k in reversed(_peel(u))))
 
 
 # -- normal form ---------------------------------------------------------------
@@ -342,7 +350,7 @@ def normal_form(u: FullGroupElement) -> FactorizationCertificate:
             back[t] = s - t
         periodic = [FullGroupElement._trusted(w.depth, table) for table in (cycled, back)]
     word = [*map(PeriodicFactor, periodic), OdometerPowerFactor(k)]
-    return FactorizationCertificate(u, [(f, 1) for f in word])
+    return _certified(u, [(f, 1) for f in word])
 
 
 # -- periodic elements as products of involutions -------------------------------
@@ -372,4 +380,4 @@ def factor_periodic_into_involutions(u: FullGroupElement) -> FactorizationCertif
             r1[s] = sums[-j % length] - sums[j]
             r2[s] = sums[(1 - j) % length] - sums[j]
     word = [(PeriodicFactor(FullGroupElement._trusted(u.depth, t)), 1) for t in (r2, r1) if any(t)]
-    return FactorizationCertificate(u, word)
+    return _certified(u, word)

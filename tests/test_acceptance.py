@@ -14,7 +14,9 @@ from odofull import (
     ClopenSet,
     Dyadic,
     FullGroupElement,
+    TowerElement,
     commutator,
+    counterexample_element,
     counterexample_report,
     decompose_pnp,
     distance,
@@ -27,6 +29,7 @@ from odofull import (
     normal_form,
     positivize,
     random_element,
+    tower_metric,
 )
 from odofull.induced import oddpart
 from odofull.verify import random_clopen, random_periodic_element
@@ -193,9 +196,13 @@ def test_criterion_08_counterexample_table():
     failures = []
     report = counterexample_report(10)
     for row in report.rows:
-        if row.ambient_distance != Dyadic(1, 1):
+        # the closed-form columns, and the metric of the built involution
+        element = counterexample_element(row.n)
+        identity = TowerElement.identity(element.system)
+        induced = tower_metric(element, identity, [range(0, 4**row.n, 2**row.n)])
+        if not row.ambient_distance == tower_metric(element, identity) == Dyadic(1, 1):
             failures.append(("ambient", row.n))
-        if row.induced_distance != Dyadic(1, row.n + 1):
+        if not row.induced_distance == induced == Dyadic(1, row.n + 1):
             failures.append(("induced", row.n))
     _gate(8, "crossing involutions: ambient distance 1/2, induced distance 2^-(n+1)", 1,
           time.perf_counter() - start, failures)

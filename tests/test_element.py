@@ -236,6 +236,12 @@ def test_metric_rejects_bad_exponent():
         distance(T, IDENTITY, "sup")
 
 
+def test_metric_refuses_a_bool_exponent():
+    # True == 1, so it would pass as the L^1 exponent
+    with pytest.raises(TypeError):
+        distance(T, IDENTITY, True)
+
+
 def test_metrics_match_fraction_model():
     rng = random.Random(109)
     for _ in range(200):
@@ -358,6 +364,11 @@ def test_random_element_deterministic_for_seed():
     c = random_element(6, 4, seed=100)
     assert a == b
     assert a != c
+
+
+def test_random_element_refuses_a_bool_wrap_bound():
+    with pytest.raises(TypeError):
+        random_element(3, True)
 
 
 def test_random_element_always_valid():

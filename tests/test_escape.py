@@ -1,5 +1,7 @@
 """Escape times and the diverging tower family."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +40,12 @@ def test_whole_space_never_escapes():
     assert result.is_infinite
     assert result.integral is INFINITE
     assert list(result.times.values()) == [INFINITE]
+
+
+def test_infinite_survives_copies_and_pickles():
+    for clone in (copy.deepcopy(INFINITE), pickle.loads(pickle.dumps(INFINITE))):
+        assert clone is INFINITE
+    assert repr(INFINITE) == "INFINITE"
 
 
 def test_single_cylinder_escapes_immediately():
@@ -151,6 +159,11 @@ def test_tower_family_depth_cap():
         escape_tower_family(9)
     with pytest.raises(ValueError):
         escape_tower_family(0)
+
+
+def test_tower_family_refuses_a_bool_size():
+    with pytest.raises(TypeError):
+        escape_tower_family(True)
 
 
 def test_tower_family_checks_the_depth_cap_before_any_row(monkeypatch, capsys):

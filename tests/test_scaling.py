@@ -15,15 +15,13 @@ import pytest
 from odofull import (
     ClopenSet,
     FullGroupElement,
-    TowerElement,
-    counterexample_element,
+    counterexample_report,
     escape_time,
     factor_periodic_into_involutions,
     induce,
     normal_form,
     positivize,
     random_element,
-    tower_metric,
     transposition,
 )
 from odofull.factor import _peel
@@ -131,22 +129,19 @@ def test_peel_cost_is_flat_in_a_partial_run():
     assert ratio < 4, f"_peel: k = 10^3 -> 10^6 costs {ratio:.1f}x"
 
 
-def test_crossing_involution_metric_cost_is_flat_in_n():
-    """The induced distance of the ``n``-th crossing involution costs the same
-    at n = 8 and n = 20.
+def test_counterexample_report_cost_is_flat_in_n(monkeypatch):
+    """The crossing-involution table costs about as much at n_max = 24 as at 12.
 
-    The involution moves ``2**n`` levels in two runs, and the return map's
-    level set is the strided ``range(0, 4**n, 2**n)``, so each run is summed
-    in closed form; one lookup per moved level would make n = 20 about four
-    thousand times slower.
+    Each row is written from ``n`` alone, so the table is linear in its
+    rows; building row ``n``'s involution and measuring it would cost
+    ``2**n`` per row and make n_max = 24 about four thousand times slower.
     """
 
-    def seconds(n):
-        u = counterexample_element(n)
-        identity = TowerElement.identity(u.system)
-        levels = [range(0, 4**n, 2**n)]
-        timer = timeit.Timer(lambda: tower_metric(u, identity, induced_on=levels))
-        return min(timer.repeat(repeat=REPEATS, number=5))
+    monkeypatch.delenv("ERGO_DEPTH_CAP", raising=False)
 
-    ratio = seconds(20) / seconds(8)
-    assert ratio < 4, f"tower_metric: n = 8 -> 20 costs {ratio:.1f}x"
+    def seconds(n_max):
+        timer = timeit.Timer(lambda: counterexample_report(n_max))
+        return min(timer.repeat(repeat=REPEATS, number=20))
+
+    ratio = seconds(24) / seconds(12)
+    assert ratio < 4, f"counterexample_report: n_max = 12 -> 24 costs {ratio:.1f}x"

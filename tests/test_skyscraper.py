@@ -267,11 +267,11 @@ def test_metric_induced_counts_positions_not_levels():
     assert tower_metric(u, identity, induced_on=[[0, 4, 8]]) == Dyadic(1, 2)
 
 
-# -- runs against the per-level reference -------------------------------------------
+# -- strided moves against the per-level reference ----------------------------------
 #
-# Elements store their moves as runs of equally spaced levels.  The functions
-# below are the per-level algorithms on plain dicts, one entry per moved level,
-# kept here as the reference the run arithmetic must reproduce.
+# The functions below are the per-level algorithms on plain dicts, one entry
+# per moved level, kept here as the reference that products, inverses and
+# metrics of elements with strided blocks of moves must reproduce.
 
 
 def _reference_product(outer: dict, inner: dict) -> dict:
@@ -424,7 +424,7 @@ def test_off_set_moves_are_named_as_by_the_per_level_reference():
 
 def test_single_level_runs_and_one_sided_towers():
     system = TowerSystem([(12, Dyadic(1, 6)), (12, Dyadic(1, 6))])
-    # no two neighbouring moves share a shift, so every run holds one level
+    # no two neighbouring moves share a shift, and each operand fixes one tower
     scattered = {0: 5, 5: 2, 7: -7, 3: 1, 4: -1}
     u = TowerElement.from_moves(system, [scattered, {}])
     v = TowerElement.from_moves(system, [{}, {1: 9, 10: -9}])

@@ -21,7 +21,6 @@ from odofull import (
     TowerSystem,
     commutator,
     counterexample_element,
-    counterexample_report,
     decompose_pnp,
     factor_periodic_into_involutions,
     induce,
@@ -146,7 +145,7 @@ def test_derived_tower_elements_run_no_move_check(monkeypatch):
     u, v = _tower_element(rng, 5), _tower_element(rng, 5)
     assert len(calls) == 6  # from_moves checks each of the three towers
     calls.clear()
-    counterexample_report(8)
+    counterexample_element(8)
     u * v
     u.inverse()
     assert calls == []

@@ -327,6 +327,20 @@ def test_cli_invariant_failure_exits_three(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: ")
 
 
+def test_certificate_that_does_not_recompose_exits_three(monkeypatch, capsys):
+    # A peel that loses its first run; its counts no longer sum to the index,
+    # but the dropped run escapes the check inside the real _peel.
+    peel = factor._peel
+    monkeypatch.setattr(factor, "_peel", lambda u: peel(u)[1:])
+    u = serialize.parse_element(TWO_RUNS)
+    with pytest.raises(InvariantError, match="does not recompose"):
+        factor.factor_positive(u)
+    assert main(["factor-positive", TWO_RUNS, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+
+
 def test_cli_out_of_memory_exits_two(monkeypatch, capsys):
     def exhausted(n_max):
         raise MemoryError
