@@ -76,7 +76,7 @@ class ClopenSet:
     ``bits`` has bit ``s`` set exactly when the depth-``depth`` cylinder
     with prefix ``s`` belongs to the set.  Masks from a caller enter
     through the constructor, which checks the depth cap and the mask's
-    range.  Masks that operations build from valid operands, at a depth no
+    type and range.  Masks that operations build from valid operands, at a depth no
     deeper than theirs, enter through :meth:`_trusted` and skip both
     checks.  Either way the set is reduced to the least depth at which it
     is a union of cylinders, so equal sets always compare equal regardless
@@ -87,6 +87,8 @@ class ClopenSet:
 
     def __init__(self, depth: int, bits: int):
         check_depth(depth)
+        if type(bits) is not int:  # bool included
+            raise TypeError(f"bits must be an integer, got {bits!r}")
         if bits < 0 or bits >> (1 << depth):
             raise ValueError("bit table does not fit the given depth")
         self._reduce(depth, bits)
@@ -116,11 +118,13 @@ class ClopenSet:
 
     @classmethod
     def from_prefixes(cls, depth: int, prefixes) -> "ClopenSet":
-        """Union of the depth-``depth`` cylinders with the given prefixes."""
+        """Union of the depth-``depth`` cylinders with the given ``int`` prefixes."""
         check_depth(depth)
         size = 1 << depth
         flags = bytearray(size)
         for s in prefixes:
+            if type(s) is not int:  # bool included
+                raise TypeError(f"prefix must be an integer, got {s!r}")
             if not 0 <= s < size:
                 raise ValueError(f"prefix {s} out of range at depth {depth}")
             flags[s] = 1

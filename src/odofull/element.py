@@ -306,6 +306,8 @@ def distance(u: FullGroupElement, v: FullGroupElement, p=1) -> Dyadic:
     """
     if isinstance(p, bool):
         raise TypeError(f"p must be 1, an integer >= 2, or 'uniform', not {p!r}")
+    if p != "uniform" and not (isinstance(p, int) and p >= 1):
+        raise ValueError(f"p must be 1, an integer >= 2, or 'uniform': {p!r}")
     depth = max(u.depth, v.depth)
     a = u._cocycle_at(depth)
     b = v._cocycle_at(depth)
@@ -313,10 +315,8 @@ def distance(u: FullGroupElement, v: FullGroupElement, p=1) -> Dyadic:
         total = sum(map(ne, a, b))
     elif p == 1:
         total = sum(map(abs, map(sub, a, b)))
-    elif isinstance(p, int) and p >= 2:
-        total = sum(map(pow, map(abs, map(sub, a, b)), repeat(p)))
     else:
-        raise ValueError(f"p must be 1, an integer >= 2, or 'uniform': {p!r}")
+        total = sum(map(pow, map(abs, map(sub, a, b)), repeat(p)))
     return Dyadic(total, depth)
 
 

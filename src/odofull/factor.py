@@ -5,10 +5,11 @@ the input, or a :class:`FactorizationCertificate` whose word recomposes to
 the target exactly.  A word ``[F1, F2, ..., Fm]`` denotes the composition
 ``F1 o F2 o ... o Fm`` with the rightmost factor applied first.
 
-Each factor kind defines one method, ``after(out, count)``: ``out`` times
-the factor's ``count``-th power.  :class:`Factor` derives the power itself
-from it.  ``positivize`` reads its first-return map off the running sums
-it scans for its domain, so it walks each cycle once.
+Each factor kind is one class with a ``kind`` tag and two methods:
+``after(out, count)``, ``out`` times the factor's ``count``-th power, and
+``to_obj()``, its JSON object.  :class:`Factor` derives the power itself
+from ``after``.  ``positivize`` reads its first-return map off the
+running sums it scans for its domain, so it walks each cycle once.
 
 One loop, ``_peel``, splits a positive element into runs of equal return
 maps in a few list passes per run, with no table.  ``factor_positive``
@@ -34,6 +35,7 @@ from .clopen import ClopenSet, depth_cap, pack, unpack
 from .element import TRIVIAL, FullGroupElement
 from .errors import DepthCapError, EmptySetError, InvariantError, NotAlmostPositiveError
 from .errors import NotPeriodicError, NotPositiveError
+from .serialize import clopen_to_obj, element_to_obj, int_to_obj
 
 # -- certificate ------------------------------------------------------------
 
@@ -84,6 +86,9 @@ class InducedFactor(Factor):
             table[m] = t - m + lap + steps[t]
         return FullGroupElement._trusted(depth, table)
 
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "set": clopen_to_obj(self.domain)}
+
 
 @dataclass(frozen=True)
 class PeriodicFactor(Factor):
@@ -95,6 +100,9 @@ class PeriodicFactor(Factor):
         power = self.element**count
         return power if out.cocycle == (0,) else out * power
 
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "element": element_to_obj(self.element)}
+
 
 @dataclass(frozen=True)
 class OdometerPowerFactor(Factor):
@@ -103,6 +111,9 @@ class OdometerPowerFactor(Factor):
 
     def after(self, out: FullGroupElement, count: int) -> FullGroupElement:
         return out * FullGroupElement.odometer(self.power * count)
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "power": int_to_obj(self.power)}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .clopen import ClopenSet, pack, unpack
+from .clopen import ClopenSet, check_depth, pack, unpack
 from .dyadic import Dyadic
 from .element import FullGroupElement
 from .errors import EmptySetError, OverlapError
@@ -128,8 +128,10 @@ def ncycle_support_test(subset: ClopenSet, order: int) -> tuple[bool, ClopenSet 
         return False, None
     extra = max(0, (order & -order).bit_length() - (count & -count).bit_length())
     depth = subset.depth + extra
-    members = subset.prefixes_at_depth(depth)
+    check_depth(depth)
+    # Member i of the refined set, ascending, is base[i % count] + 2**d (i // count).
+    base, d = subset.prefixes(), subset.depth
     flags = bytearray(1 << depth)
-    for s in members[::order]:
-        flags[s] = 1
+    for i in range(0, count << extra, order):
+        flags[base[i % count] + (i // count << d)] = 1
     return True, ClopenSet._trusted(depth, pack(flags))

@@ -2,8 +2,9 @@
 
 Each result type has one encoder per format: ``*_to_obj`` gives the JSON
 object, ``*_to_csv`` and ``*_to_text`` the CSV and text documents where
-the type has them.  :func:`load_json` reads JSON given inline or as a
-file path, for every parser of command-line input.
+the type has them; a factor kind carries its own ``to_obj``.
+:func:`load_json` reads JSON given inline or as a file path, for every
+parser of command-line input.
 
 Exact rationals travel as ``"p/2^k"`` strings and are never rendered as
 floating point in machine formats.  Cocycle entries ride as JSON numbers
@@ -20,12 +21,6 @@ from .clopen import ClopenSet
 from .element import FullGroupElement
 from .errors import ParseError
 from .escape import INFINITE
-from .factor import (
-    CycleClassParts,
-    FactorizationCertificate,
-    InducedFactor,
-    PeriodicFactor,
-)
 from .induced import InducedResult
 from .skyscraper import CounterexampleReport
 
@@ -33,7 +28,7 @@ ODOMETER_SYSTEM = "dyadic_odometer"
 _SAFE_INT = 1 << 53
 
 
-def _int_obj(n: int):
+def int_to_obj(n: int):
     return n if -_SAFE_INT < n < _SAFE_INT else str(n)
 
 
@@ -74,7 +69,7 @@ def element_to_obj(u: FullGroupElement) -> dict:
     if -_SAFE_INT < min(table) and max(table) < _SAFE_INT:
         cocycle = list(table)
     else:
-        cocycle = [_int_obj(n) for n in table]
+        cocycle = [int_to_obj(n) for n in table]
     return {"system": ODOMETER_SYSTEM, "depth": u.depth, "cocycle": cocycle}
 
 
@@ -139,22 +134,14 @@ def parse_element(source: str) -> FullGroupElement:
 # -- factorization certificates ----------------------------------------------------
 
 
-def factor_to_obj(factor) -> dict:
-    if isinstance(factor, InducedFactor):
-        return {"kind": factor.kind, "set": clopen_to_obj(factor.domain)}
-    if isinstance(factor, PeriodicFactor):
-        return {"kind": factor.kind, "element": element_to_obj(factor.element)}
-    return {"kind": factor.kind, "power": _int_obj(factor.power)}
-
-
-def certificate_to_obj(cert: FactorizationCertificate) -> dict:
-    """The JSON word lists every factor: each run's dict is built once, repeated ``count`` times.
+def certificate_to_obj(cert) -> dict:
+    """The JSON word lists every factor: each run's ``to_obj()`` once, repeated ``count`` times.
 
     :func:`json_text` encodes each such dict once and repeats its text.
     """
     return {
         "target": element_to_obj(cert.target),
-        "word": [obj for f, count in cert.runs for obj in [factor_to_obj(f)] * count],
+        "word": [obj for f, count in cert.runs for obj in [f.to_obj()] * count],
         "verified": cert.verified,
     }
 
@@ -209,7 +196,7 @@ def json_text(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
-def cycle_parts_to_obj(parts: CycleClassParts) -> dict:
+def cycle_parts_to_obj(parts) -> dict:
     return {name: element_to_obj(u) for name, u in parts._asdict().items()}
 
 

@@ -79,14 +79,16 @@ class TowerSystem:
 
 
 def _check_moves(tower: Tower, t: int, moves: dict[int, int]) -> None:
-    """Range and bijectivity checks for one tower's nonzero shifts.
+    """Type, range and bijectivity checks for one tower's nonzero shifts.
 
-    The shifted levels must stay inside the tower, and their images must be
+    Levels and shifts must be ``int`` (``bool`` is refused).  The shifted levels must stay inside the tower, and their images must be
     exactly the moved levels: an image landing on a fixed level would give
     that level two preimages.
     """
     images = set()
     for i, n in sorted(moves.items()):
+        if type(i) is not int or type(n) is not int:  # bool included
+            raise TypeError(f"tower {t}: level and shift must be integers, got {i!r}: {n!r}")
         if not 0 <= i < tower.height:
             raise ValueError(f"tower {t}: no level {i}")
         target = i + n

@@ -336,3 +336,10 @@ def test_bool_depth_rejected():
     with pytest.raises(TypeError, match="depth must be an integer"):
         check_depth(2.0)
     check_depth(0)
+    # a bool mask or prefix would be read as 1 or 0
+    for bits in (True, False, 2.0):
+        with pytest.raises(TypeError, match="bits must be an integer"):
+            ClopenSet(0, bits)
+    for prefix in (True, False, 1.0):
+        with pytest.raises(TypeError, match="prefix must be an integer"):
+            ClopenSet.from_prefixes(1, [prefix])

@@ -240,6 +240,11 @@ def test_metric_refuses_a_bool_exponent():
     # True == 1, so it would pass as the L^1 exponent
     with pytest.raises(TypeError):
         distance(T, IDENTITY, True)
+    # 1.0 == 1 too: every exponent that is not an int is refused like 2.0
+    for p in (1.0, Fraction(1), 2.0, Fraction(2), "1", 0, -1):
+        with pytest.raises(ValueError, match="p must be 1, an integer >= 2, or 'uniform'"):
+            distance(T, IDENTITY, p)
+    assert distance(T, IDENTITY, 1) == distance(T, IDENTITY, 2) == Dyadic(1)
 
 
 def test_metrics_match_fraction_model():

@@ -452,8 +452,8 @@ def test_certificate_refuses_counts_below_one(monkeypatch):
 @pytest.mark.parametrize("k", [2**4, 2**16])
 def test_certificate_json_encodes_each_run_once(monkeypatch, k):
     calls = []
-    to_obj = serialize.factor_to_obj
-    monkeypatch.setattr(serialize, "factor_to_obj", lambda f: calls.append(f) or to_obj(f))
+    to_obj = factor.InducedFactor.to_obj
+    monkeypatch.setattr(factor.InducedFactor, "to_obj", lambda f: calls.append(f) or to_obj(f))
     obj = serialize.certificate_to_obj(factor_positive(T**k))
     assert calls == [factor.InducedFactor(ClopenSet.full())]
     assert obj["word"] == [{"kind": "induced_on", "set": {"depth": 0, "prefixes": [0]}}] * k

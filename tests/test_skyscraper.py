@@ -70,6 +70,11 @@ def test_tower_make_rejects_non_integer_values():
         with pytest.raises(TypeError, match="tower 1"):
             TowerSystem([(2, Dyadic(1, 3)), tower])
     assert TowerSystem([(1, 1)]).towers[0].base_measure == Dyadic(1)
+    # a bool shift or level would be stored as such and printed as True
+    system = TowerSystem([(2, Dyadic(1, 3)), (2, Dyadic(1, 3))])
+    for moves in [{0: True, 1: -1}, {True: -1, 0: 1}, {0: 1.0, 1: -1}, {0.0: 1, 1: -1}]:
+        with pytest.raises(TypeError, match="tower 1: level and shift must be integers"):
+            TowerElement.from_moves(system, [{}, moves])
 
 
 # -- elements -----------------------------------------------------------------
@@ -267,11 +272,11 @@ def test_metric_induced_counts_positions_not_levels():
     assert tower_metric(u, identity, induced_on=[[0, 4, 8]]) == Dyadic(1, 2)
 
 
-# -- strided moves against the per-level reference ----------------------------------
+# -- strided block swaps against a plain-dict reference -----------------------------
 #
-# The functions below are the per-level algorithms on plain dicts, one entry
-# per moved level, kept here as the reference that products, inverses and
-# metrics of elements with strided blocks of moves must reproduce.
+# The functions below compute products and metrics on plain dicts, one entry
+# per moved level, without ``TowerElement``: the reference that its products,
+# inverses and metrics must reproduce on products of strided block swaps.
 
 
 def _reference_product(outer: dict, inner: dict) -> dict:
@@ -334,7 +339,7 @@ def _expanded(tables):
     return tuple(tuple(sorted(table.items())) for table in tables)
 
 
-def test_runs_match_the_per_level_reference():
+def test_block_swaps_match_the_plain_dict_reference():
     rng = random.Random(2101)
     strided = 0
     for _ in range(300):
