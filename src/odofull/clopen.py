@@ -9,9 +9,9 @@ All set dynamics then reduce to modular arithmetic on prefix integers.
 A clopen set is stored as a packed bitmask over the ``2**d`` prefixes at
 its minimal representing depth, so boolean operations, popcounts and
 translations are whole-integer operations on Python's big integers.
-Anything that reads or writes the mask one prefix at a time goes through
-:func:`unpack` and :func:`pack`, which convert between the mask and a
-``bytes`` of 0/1 flags indexed by prefix in time linear in ``2**d``.
+Other modules read a mask one prefix at a time only as the 0/1 flags of
+:meth:`ClopenSet._flags` or the members of :meth:`ClopenSet._members`, and
+build one only with :func:`pack`, each in time linear in ``2**d``.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ class ClopenSet:
 
     def prefixes(self) -> tuple[int, ...]:
         """Member prefixes at the canonical depth, ascending."""
-        size = 1 << self.depth
-        return tuple(compress(range(size), unpack(self.bits, size)))
+        return tuple(self._members(self.depth))
 
     def _bits_at(self, depth: int) -> int:
         """Membership bitmask refined to an operand's checked ``depth >= self.depth``.
@@ -174,13 +173,13 @@ class ClopenSet:
             size <<= 1
         return bits
 
-    def prefixes_at_depth(self, depth: int) -> tuple[int, ...]:
-        """Member prefixes refined to ``depth >= self.depth``, ascending."""
-        if depth < self.depth:
-            raise ValueError("cannot coarsen below the canonical depth")
-        check_depth(depth)
-        size = 1 << depth
-        return tuple(compress(range(size), unpack(self._bits_at(depth), size)))
+    def _flags(self, depth: int) -> bytes:
+        """0/1 membership flags by prefix at an operand's checked ``depth >= self.depth``."""
+        return unpack(self._bits_at(depth), 1 << depth)
+
+    def _members(self, depth: int) -> list[int]:
+        """Member prefixes, ascending, at an operand's checked ``depth >= self.depth``."""
+        return list(compress(range(1 << depth), self._flags(depth)))
 
     # -- boolean algebra ---------------------------------------------------
 
@@ -224,6 +223,8 @@ class ClopenSet:
         cylinder with prefix ``s`` is the cylinder with prefix
         ``(s + steps) mod 2**d``: a cyclic rotation of the bitmask.
         """
+        if type(steps) is not int:  # bool included
+            raise TypeError(f"steps must be an integer, got {steps!r}")
         size = 1 << self.depth
         k = steps % size
         if k == 0:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, ne, sub
 
-from .clopen import ClopenSet, check_depth, pack, unpack
+from .clopen import ClopenSet, check_depth, pack
 from .dyadic import Dyadic
 from .errors import InvariantError, NotBijectiveError
 
@@ -138,6 +138,8 @@ class FullGroupElement:
         return FullGroupElement._trusted(depth, table)
 
     def __pow__(self, power: int) -> "FullGroupElement":
+        if type(power) is not int:  # bool included
+            raise TypeError(f"power must be an integer, got {power!r}")
         if self.depth == 0:  # T^n, whose powers are T^(n * power)
             return FullGroupElement.odometer(self.cocycle[0] * power)
         if power < 0:
@@ -192,7 +194,7 @@ class FullGroupElement:
         size = 1 << depth
         steps = self._cocycle_at(depth)
         image = bytearray(size)
-        for s in compress(range(size), unpack(subset._bits_at(depth), size)):
+        for s in subset._members(depth):
             image[(s + steps[s]) % size] = 1
         return ClopenSet._trusted(depth, pack(image))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .clopen import ClopenSet, check_depth, unpack
+from .clopen import ClopenSet, check_depth
 from .dyadic import Dyadic
 from .errors import EmptySetError
 
@@ -55,7 +55,7 @@ def _runs(subset: ClopenSet) -> list[tuple[int, int]]:
     A run through position 0 is one cyclic run, tracked past the table end.
     """
     size = 1 << subset.depth
-    runs = [(m.start(), m.end() - 1) for m in _RUN.finditer(unpack(subset.bits, size))]
+    runs = [(m.start(), m.end() - 1) for m in _RUN.finditer(subset._flags(subset.depth))]
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == size - 1:
         first = runs.pop(0)
         last = runs.pop()

@@ -31,7 +31,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import not_
 from typing import NamedTuple
 
-from .clopen import ClopenSet, depth_cap, pack, unpack
+from .clopen import ClopenSet, depth_cap, pack
 from .element import TRIVIAL, FullGroupElement
 from .errors import DepthCapError, EmptySetError, InvariantError, NotAlmostPositiveError
 from .errors import NotPeriodicError, NotPositiveError
@@ -69,12 +69,12 @@ class InducedFactor(Factor):
         ``m_j - m_i + N (q + [i + r >= c])`` from ``m_i`` to ``m_j``, ``j =
         (i + r) mod c``, and ``out`` adds its step at ``m_j``.  Off the
         support the product steps as ``out``.  ``D`` is an operand's
-        checked depth, so the members come from the domain's refined mask
+        checked depth, so the members come from ``domain._members(D)``
         with no further check.
         """
         depth = max(out.depth, self.domain.depth)
         size = 1 << depth
-        members = list(compress(range(size), unpack(self.domain._bits_at(depth), size)))
+        members = self.domain._members(depth)
         if not members:
             raise EmptySetError("a return map needs a nonempty set")
         c = len(members)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .clopen import ClopenSet, check_depth, pack, unpack
+from .clopen import ClopenSet, check_depth, pack
 from .dyadic import Dyadic
 from .element import FullGroupElement
 from .errors import EmptySetError, OverlapError
@@ -45,7 +45,7 @@ def induce(u: FullGroupElement, subset: ClopenSet) -> InducedResult:
     depth = max(u.depth, subset.depth)
     size = 1 << depth
     steps = u._cocycle_at(depth)
-    member = unpack(subset._bits_at(depth), size)
+    member = subset._flags(depth)
 
     table = [0] * size
     return_times: dict[int, int] = {}
@@ -87,11 +87,10 @@ def transposition(subset: ClopenSet) -> FullGroupElement:
     identity.
     """
     depth = subset.depth
-    size = 1 << depth
-    ahead = subset.translate(1)._bits_at(depth)
-    if subset.bits & ahead:
+    ahead = subset.translate(1)
+    if not (subset & ahead).is_empty:
         raise OverlapError("set meets its odometer translate")
-    table = [a - b for a, b in zip(unpack(subset.bits, size), unpack(ahead, size))]
+    table = [a - b for a, b in zip(subset._flags(depth), ahead._flags(depth))]
     return FullGroupElement._trusted(depth, table)
 
 
@@ -120,6 +119,8 @@ def ncycle_support_test(subset: ClopenSet, order: int) -> tuple[bool, ClopenSet 
     """
     if subset.is_empty:
         raise EmptySetError("an empty set supports no cycles")
+    if type(order) is not int:  # bool included
+        raise TypeError(f"order must be an integer, got {order!r}")
     if order < 2:
         raise ValueError("cycle order must be at least 2")
 

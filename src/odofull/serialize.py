@@ -51,13 +51,11 @@ def clopen_to_obj(subset: ClopenSet) -> dict:
 def clopen_from_obj(obj) -> ClopenSet:
     if not isinstance(obj, dict) or "depth" not in obj or "prefixes" not in obj:
         raise ParseError("clopen set needs 'depth' and 'prefixes'")
-    depth = _int_from(obj["depth"])
     if not isinstance(obj["prefixes"], list):
         raise ParseError("'prefixes' must be a list")
-    prefixes = [_int_from(p) for p in obj["prefixes"]]
     try:
-        return ClopenSet.from_prefixes(depth, prefixes)
-    except ValueError as exc:
+        return ClopenSet.from_prefixes(obj["depth"], obj["prefixes"])
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None
 
 
@@ -74,17 +72,14 @@ def element_to_obj(u: FullGroupElement) -> dict:
 
 
 def element_from_obj(obj) -> FullGroupElement:
-    depth = _int_from(obj.get("depth"))
     cocycle = obj.get("cocycle")
     if not isinstance(cocycle, list):
         raise ParseError("'cocycle' must be a list")
-    if set(map(type, cocycle)) <= {int}:
-        table = cocycle
-    else:  # decimal strings beyond 2**53, or entries to reject
-        table = [_int_from(n) for n in cocycle]
+    # Decimal strings beyond 2**53, or entries to reject, go through _int_from.
+    table = cocycle if set(map(type, cocycle)) <= {int} else [_int_from(n) for n in cocycle]
     try:
-        return FullGroupElement(depth, table)
-    except ValueError as exc:
+        return FullGroupElement(obj.get("depth"), table)
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -21,7 +21,7 @@ from odofull.verify import random_clopen
 
 def setify(a: ClopenSet, depth: int) -> set:
     """Reference model: the set of depth-``depth`` prefixes in ``a``."""
-    return set(a.prefixes_at_depth(depth))
+    return set(a._members(depth))
 
 
 def random_set(rng, depth):
@@ -123,7 +123,7 @@ def test_canonicalization_is_representation_independent():
     rng = random.Random(23)
     for _ in range(200):
         a = random_set(rng, rng.randint(0, 5))
-        rebuilt = ClopenSet.from_prefixes(a.depth + 2, a.prefixes_at_depth(a.depth + 2))
+        rebuilt = ClopenSet.from_prefixes(a.depth + 2, a._members(a.depth + 2))
         assert rebuilt == a
         assert rebuilt.depth == a.depth
 
@@ -153,9 +153,8 @@ def test_depth_cap_is_hard_error(monkeypatch):
         lambda: ClopenSet(6, 1),
         lambda: random_element(6),
         lambda: random_clopen(random.Random(0), 6),
-        lambda: ClopenSet.from_prefixes(1, {0}).prefixes_at_depth(6),
     ],
-    ids=["element", "clopen", "random_element", "random_clopen", "prefixes_at_depth"],
+    ids=["element", "clopen", "random_element", "random_clopen"],
 )
 def test_depth_cap_holds_at_every_public_entry(monkeypatch, entry):
     monkeypatch.setenv(DEPTH_CAP_ENV, "5")
@@ -220,7 +219,8 @@ def test_prefixes_match_per_bit_walk():
         a = random_set(rng, rng.randint(0, 10))
         assert a.prefixes() == naive_members(a.bits, 1 << a.depth)
         depth = min(a.depth + rng.randint(0, 2), 10)
-        assert a.prefixes_at_depth(depth) == naive_members(naive_refine(a, depth), 1 << depth)
+        assert tuple(a._members(depth)) == naive_members(naive_refine(a, depth), 1 << depth)
+        assert a._flags(depth) == unpack(naive_refine(a, depth), 1 << depth)
 
 
 def test_support_and_image_match_per_bit_walk():
@@ -343,3 +343,7 @@ def test_bool_depth_rejected():
     for prefix in (True, False, 1.0):
         with pytest.raises(TypeError, match="prefix must be an integer"):
             ClopenSet.from_prefixes(1, [prefix])
+    # a bool or fractional translation would shift by 1 or fail inside the rotation
+    for steps in (True, False, 1.5, "1"):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            ClopenSet.from_prefixes(2, [1]).translate(steps)

@@ -79,6 +79,11 @@ def test_bool_entries_rejected_like_the_parser_does():
             E(depth, [1, -1][: 1 << depth])
         with pytest.raises(TypeError, match="depth must be an integer"):
             random_element(depth)
+    # a bool power would be read as 1 or 0, and a float fails inside bin()
+    for u in (T, E(1, [1, -1])):
+        for power in (True, False, 2.0):
+            with pytest.raises(TypeError, match=f"power must be an integer, got {power!r}"):
+                u**power
 
 
 def test_canonical_depth_reduction():

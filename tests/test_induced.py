@@ -247,6 +247,10 @@ def test_ncycle_rejects_bad_inputs():
         ncycle_support_test(ClopenSet.empty(), 2)
     with pytest.raises(ValueError):
         ncycle_support_test(ClopenSet.full(), 1)
+    # True would read as order 1, and 2.0 would fail inside the two-adic arithmetic
+    for order in (True, 2.0):
+        with pytest.raises(TypeError, match=f"order must be an integer, got {order!r}"):
+            ncycle_support_test(ClopenSet.full(), order)
 
 
 def test_ncycle_deep_witness_is_bounded_by_the_depth_cap_alone(monkeypatch):

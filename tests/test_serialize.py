@@ -38,6 +38,21 @@ def test_clopen_round_trip():
         serialize.clopen_from_obj({"depth": 3})
     with pytest.raises(ParseError):
         serialize.clopen_from_obj({"depth": 2, "prefixes": [9]})
+    # the constructors are the one check: no string, bool, null or float passes for an integer
+    for depth in ("2", True, None):
+        with pytest.raises(ParseError, match="depth must be an integer"):
+            serialize.clopen_from_obj(json.loads(json.dumps({"depth": depth, "prefixes": [0]})))
+    for prefix in ("1", True, 1.0):
+        with pytest.raises(ParseError, match="prefix must be an integer"):
+            serialize.clopen_from_obj(json.loads(json.dumps({"depth": 2, "prefixes": [prefix]})))
+    with pytest.raises(ParseError, match="depth must be an integer"):
+        parse_element('{"system":"dyadic_odometer","depth":"1","cocycle":[1,-1]}')
+    rng = random.Random(32)
+    for depth in range(11):
+        for _ in range(5):
+            subset = ClopenSet(depth, rng.getrandbits(1 << depth))
+            text = json.dumps(serialize.clopen_to_obj(subset))
+            assert serialize.clopen_from_obj(json.loads(text)) == subset
 
 
 @pytest.mark.parametrize("prefixes", [5, None, "1"])

@@ -1,5 +1,6 @@
 """The property-suite runner and the command-line front end."""
 
+import ast
 import json
 import os
 import subprocess
@@ -191,6 +192,10 @@ def test_cli_parse_failure_exits_two(capsys):
     assert main(["escape", "--set", '{"depth":0,"prefixes":[]}']) == 2
     assert main(["escape", "--set", '{"depth":1,"prefixes":5}']) == 2
     assert "'prefixes' must be a list" in capsys.readouterr().err
+    assert main(["escape", "--set", '{"depth":"2","prefixes":[0]}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be an integer, got '2'\n"
 
 
 def test_cli_out_file(tmp_path, capsys):
@@ -368,6 +373,16 @@ def test_invariant_checks_survive_optimized_mode():
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("internal error: ")
     assert "peel counts sum to 2, not 3" in done.stderr
+
+
+def test_package_source_has_no_assert_statement():
+    # python -O strips assert statements, so invariant checks must raise instead
+    sources = sorted(Path(odofull.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name} has assert statements at lines {asserts}"
 
 
 def test_index_of_a_corrupt_table_raises_invariant_error():
